@@ -5,9 +5,17 @@
 // greedy_elimination.cpp used: canonical_blocks partitions, per-block left
 // folds combined in index order, and the same GranularitySite gating — so a
 // solve is bitwise identical to the pre-backend code under every backend
-// and every pool size.  Masked column variants keep the historic per-row
-// scalar loops (they only run after columns converge, and the mask makes
-// the lanes non-uniform; not worth vectorizing).
+// and every pool size.
+//
+// Block CG passes its column mask on every iteration, so the masked column
+// variants check it once per call: an all-active mask takes the unmasked
+// (vectorized) path, and only a partial mask runs the per-row scalar loop.
+// A one-column block is a flat array, and the k = 1 routes treat it as one
+// (DESIGN.md §9): elementwise kernels stream it as an (n/8) x 8 block with
+// the coefficient replicated, SpMM is SpMV, fold/backsub walk the step
+// record in one loop, and reductions advance several canonical blocks'
+// independent serial chains per step.  Each element still sees the exact
+// IEEE operation sequence of the k-column loop.
 #include "kernels/kernels.h"
 
 #include <algorithm>
@@ -87,6 +95,37 @@ inline bool mask_active(const ColMask* mask, std::size_t c) {
   return mask == nullptr || (*mask)[c] != 0;
 }
 
+// An all-active mask is no mask: every column is updated either way.
+bool partial_mask(const ColMask* mask) {
+  return mask != nullptr &&
+         std::any_of(mask->begin(), mask->end(),
+                     [](std::uint8_t m) { return m == 0; });
+}
+
+// Flat views of a one-column block: [0, n) as an (n/8) x 8 row-major block
+// with the coefficient replicated across the 8 columns, plus an n % 8 tail
+// at k = 1.  Element i still computes y[i] += a * x[i] (resp.
+// y[i] = x[i] + a * y[i]), so the bits are those of the k = 1 loop.
+constexpr std::size_t kFlatWidth = 8;
+
+void axpy_flat(const Backend& be, double a, const double* x, double* y,
+               std::size_t n) {
+  double av[kFlatWidth];
+  std::fill_n(av, kFlatWidth, a);
+  std::size_t body = n / kFlatWidth * kFlatWidth;
+  be.axpy_cols_f64(av, x, y, body / kFlatWidth, kFlatWidth);
+  be.axpy_cols_f64(av, x + body, y + body, n - body, 1);
+}
+
+void xpay_flat(const Backend& be, const double* x, double a, double* y,
+               std::size_t n) {
+  double av[kFlatWidth];
+  std::fill_n(av, kFlatWidth, a);
+  std::size_t body = n / kFlatWidth * kFlatWidth;
+  be.xpay_cols_f64(x, av, y, body / kFlatWidth, kFlatWidth);
+  be.xpay_cols_f64(x + body, av, y + body, n - body, 1);
+}
+
 // Runs fn(s, e) over the canonical blocks of [0, n) on the pool, or as one
 // serial fn(0, n) call.  Legal only for partition-independent bodies
 // (elementwise / per-row-independent kernels): the split cannot change bits.
@@ -107,6 +146,76 @@ void run_elementwise(GranularitySite& site, std::size_t n, std::uint64_t work,
   }
   parsdd::detail::SeqTimer timer(site, work);
   fn(0, n);
+}
+
+// Advances the serial chains of canonical blocks [b0, b0 + M) of [0, n)
+// together and adds their sums to `total` in block order.  Chain j is the
+// per-block fold — term(i) for i in its block, in increasing order, from
+// +0.0 — so its bits do not depend on its neighbours; stepping M
+// independent chains per iteration only keeps the FP adder busy instead of
+// waiting on one dependency.  Only the last canonical block can be short,
+// so chain M - 1 bounds the common length.
+template <std::size_t M, typename Term>
+void add_interleaved_chains(std::size_t n, std::size_t b0, const Term& term,
+                            double& total) {
+  constexpr std::size_t g = kDefaultGrain;
+  const std::size_t s = b0 * g;
+  const std::size_t common = std::min(g, n - (s + (M - 1) * g));
+  double acc[M] = {};
+  for (std::size_t i = 0; i < common; ++i) {
+    for (std::size_t j = 0; j < M; ++j) acc[j] += term(s + j * g + i);
+  }
+  for (std::size_t j = 0; j + 1 < M; ++j) {
+    for (std::size_t i = common; i < g; ++i) acc[j] += term(s + j * g + i);
+  }
+  for (std::size_t j = 0; j < M; ++j) total += acc[j];
+}
+
+// The k = 1 column reduction: sum of term(i) over [0, n) with the canonical
+// block structure of reduce_cols_blocks (per-block chains from +0.0,
+// partials combined from +0.0 in block order; a single block is its own
+// chain), run inline unless the site sends the blocks to the pool.
+template <typename Term>
+double reduce_flat(GranularitySite& site, std::size_t n, const Term& term) {
+  if (n == 0) return 0.0;
+  std::size_t nb = canonical_blocks(n, 0);
+  constexpr std::size_t g = kDefaultGrain;
+  if (nb > 1 && site.should_parallelize(n)) {
+    std::vector<double> partial(nb, 0.0);
+    ThreadPool::instance().run_blocks(nb, [&](std::size_t b) {
+      double acc = 0.0;
+      for (std::size_t i = b * g, e = std::min(n, i + g); i < e; ++i) {
+        acc += term(i);
+      }
+      partial[b] = acc;
+    });
+    double total = 0.0;
+    for (double p : partial) total += p;
+    return total;
+  }
+  parsdd::detail::SeqTimer timer(site, n);
+  if (nb == 1) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += term(i);
+    return acc;
+  }
+  double total = 0.0;
+  std::size_t b = 0;
+  for (; b + 4 <= nb; b += 4) add_interleaved_chains<4>(n, b, term, total);
+  switch (nb - b) {
+    case 3:
+      add_interleaved_chains<3>(n, b, term, total);
+      break;
+    case 2:
+      add_interleaved_chains<2>(n, b, term, total);
+      break;
+    case 1:
+      add_interleaved_chains<1>(n, b, term, total);
+      break;
+    default:
+      break;
+  }
+  return total;
 }
 
 // Canonical per-block column reduction: per-block partials accumulated by a
@@ -248,7 +357,7 @@ void axpy_cols(const ColScalars& a, const MultiVec& x, MultiVec& y,
   assert(a.size() == x.cols());
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
-  if (mask != nullptr) {
+  if (partial_mask(mask)) {
     parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
       const double* xr = x.row(i);
       double* yr = y.row(i);
@@ -261,7 +370,12 @@ void axpy_cols(const ColScalars& a, const MultiVec& x, MultiVec& y,
   const Backend& be = backend();
   run_elementwise(rowwise_site(), x.rows(), work, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.axpy_cols_f64(a.data(), x.row(s), y.row(s), e - s, k);
+                    if (k == 1) {
+                      axpy_flat(be, a[0], x.row(s), y.row(s), e - s);
+                    } else {
+                      be.axpy_cols_f64(a.data(), x.row(s), y.row(s), e - s,
+                                       k);
+                    }
                   });
 }
 
@@ -271,7 +385,7 @@ void xpay_cols(const MultiVec& x, const ColScalars& a, MultiVec& y,
   assert(a.size() == x.cols());
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
-  if (mask != nullptr) {
+  if (partial_mask(mask)) {
     parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
       const double* xr = x.row(i);
       double* yr = y.row(i);
@@ -284,13 +398,24 @@ void xpay_cols(const MultiVec& x, const ColScalars& a, MultiVec& y,
   const Backend& be = backend();
   run_elementwise(rowwise_site(), x.rows(), work, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.xpay_cols_f64(x.row(s), a.data(), y.row(s), e - s, k);
+                    if (k == 1) {
+                      xpay_flat(be, x.row(s), a[0], y.row(s), e - s);
+                    } else {
+                      be.xpay_cols_f64(x.row(s), a.data(), y.row(s), e - s,
+                                       k);
+                    }
                   });
 }
 
 ColScalars dot_cols(const MultiVec& x, const MultiVec& y) {
   assert(x.rows() == y.rows() && x.cols() == y.cols());
   std::size_t k = x.cols();
+  if (k == 1) {
+    const double* xp = x.row(0);
+    const double* yp = y.row(0);
+    return {reduce_flat(reduce_site(), x.rows(),
+                        [=](std::size_t i) { return xp[i] * yp[i]; })};
+  }
   const Backend& be = backend();
   return reduce_cols_blocks(
       reduce_site(), x.rows(), k,
@@ -304,6 +429,14 @@ ColScalars dot_diff_cols(const MultiVec& z, const MultiVec& x,
   assert(z.rows() == x.rows() && x.rows() == y.rows());
   assert(z.cols() == x.cols() && x.cols() == y.cols());
   std::size_t k = x.cols();
+  if (k == 1) {
+    const double* zp = z.row(0);
+    const double* xp = x.row(0);
+    const double* yp = y.row(0);
+    return {reduce_flat(reduce_site(), x.rows(), [=](std::size_t i) {
+      return zp[i] * (xp[i] - yp[i]);
+    })};
+  }
   const Backend& be = backend();
   return reduce_cols_blocks(
       reduce_site(), x.rows(), k,
@@ -320,6 +453,11 @@ ColScalars norm2_cols(const MultiVec& x) {
 
 ColScalars sum_cols(const MultiVec& x) {
   std::size_t k = x.cols();
+  if (k == 1) {
+    const double* xp = x.row(0);
+    return {reduce_flat(reduce_site(), x.rows(),
+                        [=](std::size_t i) { return xp[i]; })};
+  }
   const Backend& be = backend();
   return reduce_cols_blocks(
       reduce_site(), x.rows(), k,
@@ -332,7 +470,7 @@ void scale_cols(const ColScalars& a, MultiVec& x, const ColMask* mask) {
   assert(a.size() == x.cols());
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
-  if (mask != nullptr) {
+  if (partial_mask(mask)) {
     parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
       double* xr = x.row(i);
       for (std::size_t c = 0; c < k; ++c) {
@@ -344,7 +482,11 @@ void scale_cols(const ColScalars& a, MultiVec& x, const ColMask* mask) {
   const Backend& be = backend();
   run_elementwise(rowwise_site(), x.rows(), work, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.scale_cols_f64(a.data(), x.row(s), e - s, k);
+                    if (k == 1) {
+                      be.scale_f64(a[0], x.row(s), e - s);
+                    } else {
+                      be.scale_cols_f64(a.data(), x.row(s), e - s, k);
+                    }
                   });
 }
 
@@ -352,7 +494,7 @@ void copy_cols(const MultiVec& src, MultiVec& dst, const ColMask* mask) {
   assert(src.rows() == dst.rows() && src.cols() == dst.cols());
   std::size_t k = src.cols();
   std::uint64_t work = static_cast<std::uint64_t>(src.rows()) * k;
-  if (mask != nullptr) {
+  if (partial_mask(mask)) {
     parallel_for(rowwise_site(), 0, src.rows(), [&](std::size_t i) {
       const double* sr = src.row(i);
       double* dr = dst.row(i);
@@ -377,7 +519,7 @@ void project_out_constant_cols(MultiVec& x, const ColMask* mask) {
   for (double& m : mean) m /= static_cast<double>(x.rows());
   std::size_t k = x.cols();
   std::uint64_t work = static_cast<std::uint64_t>(x.rows()) * k;
-  if (mask != nullptr) {
+  if (partial_mask(mask)) {
     parallel_for(rowwise_site(), 0, x.rows(), [&](std::size_t i) {
       double* xr = x.row(i);
       for (std::size_t c = 0; c < k; ++c) {
@@ -389,7 +531,11 @@ void project_out_constant_cols(MultiVec& x, const ColMask* mask) {
   const Backend& be = backend();
   run_elementwise(rowwise_site(), x.rows(), work, 0,
                   [&](std::size_t s, std::size_t e) {
-                    be.sub_cols_f64(mean.data(), x.row(s), e - s, k);
+                    if (k == 1) {
+                      be.sub_scalar_f64(mean[0], x.row(s), e - s);
+                    } else {
+                      be.sub_cols_f64(mean.data(), x.row(s), e - s, k);
+                    }
                   });
 }
 
@@ -415,8 +561,13 @@ void spmm(const std::size_t* off, const std::uint32_t* col, const double* val,
   const Backend& be = backend();
   run_elementwise(site, n, nnz * k, /*grain=*/512,
                   [&](std::size_t s, std::size_t e) {
-                    be.spmm_rows_f64(off, col, val, x.data().data(),
-                                     y.data().data(), s, e, k);
+                    if (k == 1) {  // same per-row chain from +0.0 as SpMM
+                      be.spmv_rows_f64(off, col, val, x.data().data(),
+                                       y.data().data(), s, e);
+                    } else {
+                      be.spmm_rows_f64(off, col, val, x.data().data(),
+                                       y.data().data(), s, e, k);
+                    }
                   });
 }
 
@@ -429,6 +580,16 @@ void fold_steps(const ElimStep* steps, std::size_t nsteps, MultiVec& folded) {
   std::size_t nchunks = (k + kColChunk - 1) / kColChunk;
   const Backend& be = backend();
   double* data = folded.data().data();
+  if (k == 1) {  // one chunk: always inline, as run_elementwise would
+    parsdd::detail::SeqTimer timer(site, nsteps > 0 ? nsteps : 1);
+    for (std::size_t i = 0; i < nsteps; ++i) {
+      const ElimStep& s = steps[i];
+      double fv = data[s.v];
+      if (s.degree >= 1) data[s.u1] += s.w1 / s.pivot * fv;
+      if (s.degree == 2) data[s.u2] += s.w2 / s.pivot * fv;
+    }
+    return;
+  }
   run_elementwise(site, nchunks, nsteps * k, /*grain=*/1,
                   [&](std::size_t s, std::size_t e) {
                     for (std::size_t ch = s; ch < e; ++ch) {
@@ -448,6 +609,21 @@ void backsub_steps(const ElimStep* steps, std::size_t nsteps,
   const Backend& be = backend();
   const double* fdata = folded.data().data();
   double* xdata = x.data().data();
+  if (k == 1) {  // one chunk: always inline, as run_elementwise would
+    parsdd::detail::SeqTimer timer(site, nsteps > 0 ? nsteps : 1);
+    for (std::size_t i = nsteps; i-- > 0;) {
+      const ElimStep& s = steps[i];
+      if (s.degree == 0) {
+        xdata[s.v] = 0.0;
+      } else if (s.degree == 1) {
+        xdata[s.v] = fdata[s.v] / s.pivot + xdata[s.u1];
+      } else {
+        xdata[s.v] =
+            (fdata[s.v] + s.w1 * xdata[s.u1] + s.w2 * xdata[s.u2]) / s.pivot;
+      }
+    }
+    return;
+  }
   run_elementwise(site, nchunks, nsteps * k, /*grain=*/1,
                   [&](std::size_t s, std::size_t e) {
                     for (std::size_t ch = s; ch < e; ++ch) {

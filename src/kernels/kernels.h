@@ -22,7 +22,8 @@
 // the exact IEEE operation sequence of the scalar backend, which is why
 // PARSDD_SIMD=scalar and =avx512 solves are bitwise identical (test_kernels
 // locks this in).  Serial-chain reductions (single-Vec dot/sum, per-row
-// SpMV accumulation) stay scalar in every backend by design.
+// SpMV accumulation) stay scalar in every backend by design; layer 2 may
+// step several independent chains in one loop, never split one.
 #pragma once
 
 #include <cstddef>
@@ -125,8 +126,10 @@ double sum(const Vec& x);
 void project_out_constant(Vec& x);
 
 // ---- MultiVec column kernels (mask semantics of multivec.h: masked
-//      columns are bitwise untouched; the masked path is scalar — it only
-//      runs after columns converge) ----
+//      columns are bitwise untouched).  Block CG passes its mask on every
+//      iteration; an all-active mask takes the vectorized unmasked path and
+//      only a partial mask runs the per-row scalar loop.  A one-column block
+//      runs as a flat array (DESIGN.md §9). ----
 void axpy_cols(const ColScalars& a, const MultiVec& x, MultiVec& y,
                const ColMask* mask = nullptr);
 void xpay_cols(const MultiVec& x, const ColScalars& a, MultiVec& y,

@@ -1,6 +1,7 @@
 // Shared types for iterative solvers.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
@@ -23,6 +24,20 @@ struct IterStats {
   double relative_residual = 0.0;
   bool converged = false;
 };
+
+/// Worst-of merge of two runs over the same column (one per graph
+/// component): converged only if both converged, the larger relative
+/// residual (NaN counts as the worst) and the larger iteration count.
+inline IterStats merge_worst(const IterStats& a, const IterStats& b) {
+  IterStats out;
+  out.iterations = a.iterations > b.iterations ? a.iterations : b.iterations;
+  out.relative_residual = std::isnan(b.relative_residual) ||
+                                  b.relative_residual > a.relative_residual
+                              ? b.relative_residual
+                              : a.relative_residual;
+  out.converged = a.converged && b.converged;
+  return out;
+}
 
 /// Reusable iteration buffers for the block solvers.  A caller that solves
 /// repeatedly (the recursive chain visits each level once per outer

@@ -1,5 +1,8 @@
 #include "linalg/vector_ops.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "parallel/rng.h"
@@ -14,6 +17,11 @@ Vec random_unit_like(std::size_t n, std::uint64_t seed) {
   double nrm = kernels::norm2(v);
   if (nrm > 0) kernels::scale(1.0 / nrm, v);
   return v;
+}
+
+bool all_finite(const Vec& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double e) { return std::isfinite(e); });
 }
 
 }  // namespace parsdd

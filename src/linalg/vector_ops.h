@@ -18,4 +18,7 @@ using Vec = std::vector<double>;
 /// unit norm.
 Vec random_unit_like(std::size_t n, std::uint64_t seed);
 
+/// True when no entry is NaN or infinite.
+bool all_finite(const Vec& v);
+
 }  // namespace parsdd

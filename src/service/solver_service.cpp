@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "linalg/vector_ops.h"
 #include "parallel/task_queue.h"
 #include "service/setup_cache.h"
 #include "util/thread_annotations.h"
@@ -354,6 +355,9 @@ std::future<StatusOr<SolveResult>> SolverService::submit(SetupHandle handle,
                                                          Vec b) {
   std::promise<StatusOr<SolveResult>> promise;
   std::future<StatusOr<SolveResult>> future = promise.get_future();
+  // Scanned outside the lock; a bad request fails alone, never its
+  // block-mates.
+  const bool finite = all_finite(b);
   bool notify = false;
   {
     MutexLock lock(impl_->mu);
@@ -372,6 +376,11 @@ std::future<StatusOr<SolveResult>> SolverService::submit(SetupHandle handle,
       promise.set_value(InvalidArgumentError(
           "submit: rhs has size " + std::to_string(b.size()) +
           ", setup has dimension " + std::to_string(setup->dimension())));
+      return future;
+    }
+    if (!finite) {
+      promise.set_value(InvalidArgumentError(
+          "submit: rhs has a NaN or infinite entry"));
       return future;
     }
     if (impl_->at_capacity()) {
@@ -397,6 +406,7 @@ std::future<StatusOr<BatchSolveResult>> SolverService::submit_batch(
     SetupHandle handle, MultiVec b) {
   std::promise<StatusOr<BatchSolveResult>> promise;
   std::future<StatusOr<BatchSolveResult>> future = promise.get_future();
+  const bool finite = all_finite(b.data());
   bool notify = false;
   {
     MutexLock lock(impl_->mu);
@@ -420,6 +430,11 @@ std::future<StatusOr<BatchSolveResult>> SolverService::submit_batch(
       promise.set_value(InvalidArgumentError(
           "submit_batch: block has " + std::to_string(b.rows()) +
           " rows, setup has dimension " + std::to_string(setup->dimension())));
+      return future;
+    }
+    if (!finite) {
+      promise.set_value(InvalidArgumentError(
+          "submit_batch: block has a NaN or infinite entry"));
       return future;
     }
     if (impl_->at_capacity()) {

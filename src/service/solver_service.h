@@ -220,11 +220,14 @@ class SolverService {
 
   /// Enqueues one right-hand side.  The future resolves to the solution
   /// (bitwise identical to an isolated solve of b) or to a Status error.
-  /// Never blocks on the solve; may briefly take the service mutex.
+  /// Never blocks on the solve; may briefly take the service mutex.  A b
+  /// of the wrong size or with a NaN or infinite entry resolves to
+  /// InvalidArgument at once and never joins a coalesced block.
   std::future<StatusOr<SolveResult>> submit(SetupHandle handle, Vec b);
 
   /// Enqueues a pre-assembled k-column block; dispatched as its own
-  /// solve_batch (already amortized — no re-coalescing).
+  /// solve_batch (already amortized — no re-coalescing).  Validated like
+  /// submit().
   std::future<StatusOr<BatchSolveResult>> submit_batch(SetupHandle handle,
                                                        MultiVec b);
 

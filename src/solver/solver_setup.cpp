@@ -135,6 +135,7 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
     report->components = static_cast<std::uint32_t>(components.size());
   }
   std::uint32_t worst_iters = 0;  // quality-monitor sample for this solve
+  bool first_component = true;
   for (const ComponentSetup& cs : components) {
     std::uint32_t cn = static_cast<std::uint32_t>(cs.vertices.size());
     if (cn < 2) continue;
@@ -198,10 +199,11 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
       worst_iters = std::max(worst_iters, cst.iterations);
     }
     if (report) {
+      // A column converged only if it converged in every component.
       for (std::size_t c = 0; c < k; ++c) {
-        if (st[c].iterations >= report->column_stats[c].iterations) {
-          report->column_stats[c] = st[c];
-        }
+        report->column_stats[c] =
+            first_component ? st[c]
+                            : merge_worst(report->column_stats[c], st[c]);
       }
       if (cs.chain) {
         report->chain_levels =
@@ -212,6 +214,7 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
         report->bottom_visits += cs.recursive->bottom_visits() - visits_before;
       }
     }
+    first_component = false;
   }
   record_quality(worst_iters);
   return x;
@@ -282,6 +285,11 @@ StatusOr<MultiVec> SolverSetup::solve_batch(const MultiVec& b,
         "SolverSetup::solve_batch: dimension mismatch (got " +
         std::to_string(b.rows()) + " rows, setup has dimension " +
         std::to_string(dimension()) + ")");
+  }
+  if (!all_finite(b.data())) {
+    return InvalidArgumentError(
+        "SolverSetup::solve_batch: right-hand side has a NaN or infinite "
+        "entry");
   }
   if (!impl_->gremban) {
     return impl_->solve_batch_laplacian(b, report);

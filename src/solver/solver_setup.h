@@ -154,12 +154,15 @@ class SolverSetup {
 
   /// Solves A x = b.  For Laplacian blocks b is projected per component.
   /// Thread-safe: concurrent calls share the setup, never the scratch.
-  /// InvalidArgument when b.size() != dimension().
+  /// InvalidArgument when b.size() != dimension() or b has a NaN or
+  /// infinite entry.  With several components, the report's stats are the
+  /// worst over them: converged only if every component converged.
   StatusOr<Vec> solve(const Vec& b, SddSolveReport* report = nullptr) const;
 
   /// Solves A X = B column-wise; column c equals solve(B[:,c]) bitwise.  One
   /// chain pass serves the whole block, amortizing setup traversals over k
-  /// RHS.  InvalidArgument when B has zero columns or the wrong row count.
+  /// RHS.  InvalidArgument when B has zero columns, the wrong row count or
+  /// a NaN or infinite entry.
   StatusOr<MultiVec> solve_batch(const MultiVec& b,
                                  BatchSolveReport* report = nullptr) const;
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +24,9 @@
 #include "kernels/kernels.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/laplacian.h"
+#include "parallel/granularity.h"
 #include "parallel/rng.h"
+#include "solver/greedy_elimination.h"
 #include "solver/solver_setup.h"
 
 namespace parsdd {
@@ -242,6 +245,203 @@ TEST(RowKernels, GatherScatterRoundTrip) {
   MultiVec back(kRows, kCols, 0.0);
   kernels::scatter_rows(gathered, perm.data(), back);
   EXPECT_EQ(back.data(), src.data());
+}
+
+// ---------------------------------------------------------------------------
+// One-column blocks: the k = 1 routes (flat elementwise streams, SpMV,
+// interleaved reduction chains, one-loop fold/backsub) and the all-active
+// mask shortcut must reproduce the k-column arithmetic bit for bit.  The
+// row counts straddle the 8-wide flat view and the canonical block size.
+
+constexpr std::size_t kFlatRows[] = {1, 7, 8, 2047, 2049, 4097};
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const MultiVec& a, const MultiVec& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         same_bits(a.data(), b.data());
+}
+
+// The canonical block fold: a serial chain from +0.0 per kDefaultGrain-row
+// block, partials combined from +0.0 in block order (one block is its own
+// chain).
+template <typename Term>
+double canonical_fold(std::size_t n, const Term& term) {
+  std::size_t nb = canonical_blocks(n, 0);
+  if (nb == 1) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += term(i);
+    return acc;
+  }
+  double total = 0.0;
+  for (std::size_t b = 0; b < nb; ++b) {
+    double acc = 0.0;
+    for (std::size_t i = b * kDefaultGrain;
+         i < std::min(n, (b + 1) * kDefaultGrain); ++i) {
+      acc += term(i);
+    }
+    total += acc;
+  }
+  return total;
+}
+
+TEST(ColKernelsK1, ElementwiseMatchNaiveUnderEveryMask) {
+  const ColScalars a = {-0.375};
+  const ColMask all_active = {1};
+  const ColMask frozen = {0};
+  for (std::size_t rows : kFlatRows) {
+    MultiVec x = filled(70, rows, 1), y0 = filled(71, rows, 1);
+    MultiVec axpy_ref = y0, xpay_ref = y0, scale_ref = y0, proj_ref = y0;
+    auto y0i = [&](std::size_t i) { return y0.at(i, 0); };
+    double mean = canonical_fold(rows, y0i) / static_cast<double>(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      axpy_ref.at(i, 0) += a[0] * x.at(i, 0);
+      xpay_ref.at(i, 0) = x.at(i, 0) + a[0] * y0.at(i, 0);
+      scale_ref.at(i, 0) *= a[0];
+      proj_ref.at(i, 0) -= mean;
+    }
+    for (const ColMask* mask : {static_cast<const ColMask*>(nullptr),
+                                &all_active, &frozen}) {
+      bool live = mask != &frozen;
+      SCOPED_TRACE(::testing::Message()
+                   << "rows=" << rows << " mask="
+                   << (mask == nullptr ? "none" : live ? "all" : "frozen"));
+      MultiVec y = y0;
+      kernels::axpy_cols(a, x, y, mask);
+      EXPECT_TRUE(same_bits(y, live ? axpy_ref : y0));
+      y = y0;
+      kernels::xpay_cols(x, a, y, mask);
+      EXPECT_TRUE(same_bits(y, live ? xpay_ref : y0));
+      y = y0;
+      kernels::scale_cols(a, y, mask);
+      EXPECT_TRUE(same_bits(y, live ? scale_ref : y0));
+      y = y0;
+      kernels::copy_cols(x, y, mask);
+      EXPECT_TRUE(same_bits(y, live ? x : y0));
+      y = y0;
+      kernels::project_out_constant_cols(y, mask);
+      EXPECT_TRUE(same_bits(y, live ? proj_ref : y0));
+    }
+  }
+}
+
+TEST(ColKernels, AllActiveMaskEqualsNoMask) {
+  MultiVec x = filled(72), y0 = filled(73);
+  ColScalars a = {1.5, 2.5, -0.5, 4.0, 0.125};
+  ColMask all_active(kCols, 1);
+  MultiVec ref = y0, y = y0;
+  kernels::axpy_cols(a, x, ref);
+  kernels::axpy_cols(a, x, y, &all_active);
+  EXPECT_TRUE(same_bits(y, ref));
+  ref = y0;
+  y = y0;
+  kernels::xpay_cols(x, a, ref);
+  kernels::xpay_cols(x, a, y, &all_active);
+  EXPECT_TRUE(same_bits(y, ref));
+  ref = y0;
+  y = y0;
+  kernels::project_out_constant_cols(ref);
+  kernels::project_out_constant_cols(y, &all_active);
+  EXPECT_TRUE(same_bits(y, ref));
+}
+
+TEST(ColKernelsK1, ReductionsMatchCanonicalFold) {
+  // 1, 2 and 3 canonical blocks, a full group of 4 plus a short fifth, and
+  // ten blocks (two groups of 4 plus 2).
+  const std::size_t g = kDefaultGrain;
+  const std::size_t sizes[] = {1,     7,         g - 1,     g,         g + 1,
+                               2 * g, 2 * g + 5, 4 * g + 1, 9 * g + 77};
+  for (std::size_t rows : sizes) {
+    SCOPED_TRACE(::testing::Message() << "rows=" << rows);
+    MultiVec x = filled(80, rows, 1), y = filled(81, rows, 1),
+             z = filled(82, rows, 1);
+    auto xi = [&](std::size_t i) { return x.at(i, 0); };
+    auto xy = [&](std::size_t i) { return x.at(i, 0) * y.at(i, 0); };
+    auto xx = [&](std::size_t i) { return x.at(i, 0) * x.at(i, 0); };
+    auto zxy = [&](std::size_t i) {
+      return z.at(i, 0) * (x.at(i, 0) - y.at(i, 0));
+    };
+    EXPECT_EQ(kernels::dot_cols(x, y), ColScalars{canonical_fold(rows, xy)});
+    EXPECT_EQ(kernels::dot_diff_cols(z, x, y),
+              ColScalars{canonical_fold(rows, zxy)});
+    EXPECT_EQ(kernels::sum_cols(x), ColScalars{canonical_fold(rows, xi)});
+    EXPECT_EQ(kernels::norm2_cols(x),
+              ColScalars{std::sqrt(canonical_fold(rows, xx))});
+    // The Vec reductions share the canonical structure.
+    EXPECT_EQ(kernels::dot(x.data(), y.data()), canonical_fold(rows, xy));
+    EXPECT_EQ(kernels::sum(x.data()), canonical_fold(rows, xi));
+  }
+}
+
+TEST(SparseKernelsK1, SpmmMatchesSpmv) {
+  GeneratedGraph g = grid2d(67, 61);  // 4087 rows: 8 row blocks of 512
+  randomize_weights_log_uniform(g.edges, 100.0, 5);
+  CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
+  MultiVec x = filled(90, g.n, 1);
+  MultiVec ym(g.n, 1, 0.0);
+  Vec yv(g.n, 0.0);
+  kernels::spmm(lap.offsets(), lap.cols(), lap.vals(), g.n,
+                lap.num_nonzeros(), x, ym);
+  kernels::spmv(lap.offsets(), lap.cols(), lap.vals(), g.n,
+                lap.num_nonzeros(), x.data(), yv);
+  EXPECT_TRUE(same_bits(ym.data(), yv));
+}
+
+// fold_steps/backsub_steps at k = 1 against the single-vector reference in
+// GreedyEliminationResult, through the block entry points the chain uses.
+void expect_elimination_k1_matches(std::uint32_t n, const EdgeList& edges) {
+  GreedyEliminationResult el = greedy_eliminate(n, edges, 3);
+  MultiVec b = filled(91, n, 1);
+  Vec reduced_ref;
+  Vec folded_ref = el.fold_rhs(b.data(), &reduced_ref);
+  MultiVec folded, reduced;
+  el.fold_rhs_block(b, folded, reduced);
+  EXPECT_TRUE(same_bits(folded.data(), folded_ref));
+  EXPECT_TRUE(same_bits(reduced.data(), reduced_ref));
+
+  MultiVec xr = filled(92, el.reduced_n, 1);
+  Vec x_ref = el.back_substitute(folded_ref, xr.data());
+  MultiVec x;
+  el.back_substitute_block(folded, xr, x);
+  EXPECT_TRUE(same_bits(x.data(), x_ref));
+}
+
+TEST(ElimKernelsK1, FoldBacksubMatchSingleVectorOnTree) {
+  GeneratedGraph t = path(3001);  // a tree eliminates to nothing
+  randomize_weights_log_uniform(t.edges, 100.0, 6);
+  GreedyEliminationResult el = greedy_eliminate(t.n, t.edges, 3);
+  ASSERT_EQ(el.reduced_n, 0u);
+  expect_elimination_k1_matches(t.n, t.edges);
+}
+
+TEST(ElimKernelsK1, FoldBacksubMatchSingleVectorWithReducedGraph) {
+  GeneratedGraph g = grid2d(40, 37);
+  randomize_weights_log_uniform(g.edges, 100.0, 7);
+  GreedyEliminationResult el = greedy_eliminate(g.n, g.edges, 3);
+  ASSERT_GT(el.reduced_n, 0u);
+  ASSERT_FALSE(el.steps.empty());
+  expect_elimination_k1_matches(g.n, g.edges);
+}
+
+// Lockstep: column c of a k = 5 block solve is bitwise the k = 1 solve of
+// that column, so the k = 1 routes and the k-column kernels agree through
+// a whole chain solve (every level, mask and reduction).
+TEST(Kernels, BlockColumnsEqualSingleSolvesBitwise) {
+  GeneratedGraph g = grid2d(48, 45);  // 2160 rows: two canonical blocks
+  randomize_weights_log_uniform(g.edges, 100.0, 8);
+  SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges);
+  MultiVec b = filled(93, g.n, kCols);
+  StatusOr<MultiVec> xb = setup.solve_batch(b);
+  ASSERT_TRUE(xb.ok()) << xb.status().to_string();
+  for (std::size_t c = 0; c < kCols; ++c) {
+    StatusOr<Vec> xc = setup.solve(b.column(c));
+    ASSERT_TRUE(xc.ok()) << xc.status().to_string();
+    EXPECT_TRUE(same_bits(xb->column(c), *xc)) << "column " << c;
+  }
 }
 
 // ---------------------------------------------------------------------------

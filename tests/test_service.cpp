@@ -11,8 +11,10 @@
 //   * drain()/destruction answer everything that was accepted.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "graph/generators.h"
@@ -119,6 +121,40 @@ TEST(SolverService, CoalescedSubmitsMatchIndependentSolvesBitwise) {
   EXPECT_EQ(st.submitted, kReqs);
   EXPECT_EQ(st.completed, kReqs);
   EXPECT_LT(st.dispatched_blocks, static_cast<std::uint64_t>(kReqs));
+}
+
+TEST(SolverService, NonFiniteRhsFailsAloneInCoalescedBlock) {
+  // The bad requests arrive inside the good ones' 20 ms linger window.
+  // They are refused at submit, before coalescing, so the good ones still
+  // get bitwise their solo answers.
+  ServiceOptions opts;
+  opts.max_batch = 16;
+  opts.max_linger_us = 20000;
+  SolverService service(opts);
+  GeneratedGraph g = grid2d(12, 12);
+  SetupHandle h = service.register_laplacian(g.n, g.edges).value();
+  SddSolver direct = SddSolver::for_laplacian(g.n, g.edges);
+
+  Vec good1 = random_unit_like(g.n, 31), good2 = random_unit_like(g.n, 32);
+  Vec nan_rhs = random_unit_like(g.n, 33);
+  nan_rhs[5] = std::nan("");
+  MultiVec inf_block(g.n, 2, 0.0);
+  inf_block.at(3, 1) = std::numeric_limits<double>::infinity();
+
+  auto f1 = service.submit(h, good1);
+  auto fbad = service.submit(h, nan_rhs);
+  auto fbad_batch = service.submit_batch(h, inf_block);
+  auto f2 = service.submit(h, good2);
+
+  EXPECT_EQ(fbad.get().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fbad_batch.get().status().code(), StatusCode::kInvalidArgument);
+  StatusOr<SolveResult> r1 = f1.get(), r2 = f2.get();
+  ASSERT_TRUE(r1.ok()) << r1.status().to_string();
+  ASSERT_TRUE(r2.ok()) << r2.status().to_string();
+  EXPECT_TRUE(bitwise_equal(r1->x, direct.solve(good1).value()));
+  EXPECT_TRUE(bitwise_equal(r2->x, direct.solve(good2).value()));
+  service.drain();
+  EXPECT_EQ(service.stats().submitted, 2u);
 }
 
 TEST(SolverService, SubmitBatchRoundTrips) {

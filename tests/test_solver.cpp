@@ -1,6 +1,9 @@
 // IncrementalSparsify, chain construction, recursive solver, SddSolver.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "graph/generators.h"
 #include "kernels/kernels.h"
 #include "linalg/dense_ldlt.h"
@@ -242,6 +245,75 @@ TEST(SddSolver, DisconnectedComponentsSolvedIndependently) {
   EXPECT_DOUBLE_EQ(x[20], 0.0);
   CsrMatrix lap = laplacian_from_edges(n, e);
   EXPECT_LT(kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b), 1e-6);
+}
+
+TEST(IterStatsMerge, WorstOfBothRuns) {
+  IterStats ok{104, 5e-9, true};
+  IterStats failed{1, 0.5, false};
+  for (IterStats m : {merge_worst(ok, failed), merge_worst(failed, ok)}) {
+    EXPECT_FALSE(m.converged);
+    EXPECT_EQ(m.iterations, 104u);
+    EXPECT_EQ(m.relative_residual, 0.5);
+  }
+  IterStats nan_run{2, std::nan(""), false};
+  for (IterStats m : {merge_worst(ok, nan_run), merge_worst(nan_run, ok)}) {
+    EXPECT_FALSE(m.converged);
+    EXPECT_TRUE(std::isnan(m.relative_residual));
+  }
+  IterStats also_ok{40, 1e-9, true};
+  IterStats m = merge_worst(ok, also_ok);
+  EXPECT_TRUE(m.converged);
+  EXPECT_EQ(m.iterations, 104u);
+  EXPECT_EQ(m.relative_residual, 5e-9);
+}
+
+// A 16x16 mesh plus a separate 4-vertex path of weight-1e-300 edges whose
+// finite right-hand side gives a solution beyond the double range: the
+// path's solve breaks down with a NaN residual while the mesh converges in
+// more iterations, and the column must report the failure, not the mesh's
+// success.
+TEST(SddSolver, FailedComponentIsReportedUnconverged) {
+  GeneratedGraph g = grid2d(16, 16);
+  EdgeList e = g.edges;
+  std::uint32_t n = g.n + 4;
+  for (std::uint32_t v = g.n; v + 1 < n; ++v) {
+    e.push_back(Edge{v, v + 1, 1e-300});
+  }
+  SddSolver solver = SddSolver::for_laplacian(n, e);
+  Vec b = random_unit_like(n, 18);
+  b[g.n] = 1e10;
+  b[g.n + 3] = -1e10;
+  SddSolveReport report;
+  StatusOr<Vec> x = solver.solve(b, &report);
+  ASSERT_TRUE(x.ok()) << x.status().to_string();
+  EXPECT_EQ(report.components, 2u);
+  EXPECT_FALSE(report.stats.converged);
+  EXPECT_TRUE(std::isnan(report.stats.relative_residual));
+  EXPECT_GT(report.stats.iterations, 10u);  // the mesh's count
+}
+
+TEST(SddSolver, NonFiniteRhsRejected) {
+  GeneratedGraph g = grid2d(6, 6);
+  SddSolver solver = SddSolver::for_laplacian(g.n, g.edges);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    Vec b = random_unit_like(g.n, 19);
+    b[7] = bad;
+    StatusOr<Vec> x = solver.solve(b);
+    ASSERT_FALSE(x.ok());
+    EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
+    MultiVec bb(g.n, 3, 0.0);
+    bb.at(g.n - 1, 2) = bad;
+    EXPECT_EQ(solver.setup().solve_batch(bb).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The SDD path checks before the Gremban lift.
+  std::vector<Triplet> ts = {{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 1.0},
+                             {1, 1, 4.0}};
+  SddSolver sdd =
+      SddSolver::for_sdd(CsrMatrix::from_triplets(2, std::move(ts)));
+  EXPECT_EQ(sdd.solve(Vec{1.0, std::nan("")}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SddSolver, GrembanSddSolve) {
