@@ -4,7 +4,8 @@
 //
 //   graph-file : plain edge list (`u v w` lines, optional `n m` header) or
 //                MatrixMarket .mtx (symmetric coordinate)
-//   tolerance  : relative residual target (default 1e-8)
+//   tolerance  : relative residual target, a finite number > 0 (default
+//                1e-8)
 //   method     : chain | rpch | cg | jacobi (default chain)
 //
 // Setup persistence flags (see DESIGN.md, "Snapshot format"):
@@ -21,15 +22,17 @@
 //   $ ./solve_cli mesh.txt 1e-8 chain --save-setup=mesh.snap   # build once
 //   $ ./solve_cli mesh.txt 1e-8 chain --load-setup=mesh.snap   # restarts
 //
-// Solves L x = b for a deterministic random consistent b, printing chain
-// telemetry and the verified residual.  With no graph argument, runs a
-// built-in demo grid instead.
+// Solves L x = b for a deterministic random b made consistent (mean zero
+// on every connected component), printing chain telemetry and the verified
+// residual.  With no graph argument, runs a built-in demo grid instead.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "kernels/kernels.h"
 #include "graph/io.h"
@@ -66,7 +69,18 @@ int main(int argc, char** argv) {
     std::printf("no input file; using demo 64x64 grid\n");
     g = grid2d(64, 64);
   }
-  double tol = positional.size() > 1 ? std::atof(positional[1].c_str()) : 1e-8;
+  double tol = 1e-8;
+  if (positional.size() > 1) {
+    const char* text = positional[1].c_str();
+    char* end = nullptr;
+    tol = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(tol) || tol <= 0.0) {
+      std::fprintf(stderr,
+                   "invalid tolerance '%s' (want a finite number > 0)\n",
+                   text);
+      return 2;
+    }
+  }
   SolveMethod method = SolveMethod::kChainPcg;
   if (positional.size() > 2) {
     const std::string& m = positional[2];
@@ -121,7 +135,22 @@ int main(int argc, char** argv) {
     std::printf("saved setup snapshot to %s\n", save_path.c_str());
   }
 
+  // random_unit_like is mean-zero over the whole graph, which makes the
+  // system consistent only for a connected graph; otherwise b is projected
+  // to mean zero on every component.
   Vec b = random_unit_like(g.n, 1);
+  Components comp = connected_components(g.n, g.edges);
+  if (comp.count > 1) {
+    std::vector<double> comp_sum(comp.count, 0.0);
+    std::vector<double> comp_size(comp.count, 0.0);
+    for (std::uint32_t v = 0; v < g.n; ++v) {
+      comp_sum[comp.label[v]] += b[v];
+      comp_size[comp.label[v]] += 1.0;
+    }
+    for (std::uint32_t v = 0; v < g.n; ++v) {
+      b[v] -= comp_sum[comp.label[v]] / comp_size[comp.label[v]];
+    }
+  }
   SddSolveReport rep;
   Vec x = setup.solve(b, &rep).value();
 

@@ -1,202 +1,11 @@
-// Internal to src/kernels/: the portable reference implementations
-// (templates over the element type) and the per-ISA backend factories.  The
-// scalar templates define the IEEE operation sequence every vector backend
-// must reproduce bit-for-bit per column; the AVX files call back into them
-// for serial-chain kernels and remainder handling.
+// Internal to src/kernels/: the per-ISA backend factories.  backends.cpp
+// builds all three tables from the one kernel source in backend_kernels.h;
+// kernels.cpp picks one per process.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
 
 #include "kernels/kernels.h"
 
 namespace parsdd::kernels::detail {
-
-// ---- elementwise over [0, n) ----
-
-template <typename T>
-void scale_t(T a, T* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
-}
-
-template <typename T>
-void sub_t(const T* x, const T* y, T* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-template <typename T>
-void sub_scalar_t(T m, T* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] -= m;
-}
-
-// ---- serial-chain reductions (the canonical per-block fold; every backend
-//      uses exactly this chain, starting from +0.0 like the historic
-//      parallel_reduce identity) ----
-
-template <typename T>
-T dot_serial_t(const T* x, const T* y, std::size_t n) {
-  T acc = T(0);
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-template <typename T>
-T sum_serial_t(const T* x, std::size_t n) {
-  T acc = T(0);
-  for (std::size_t i = 0; i < n; ++i) acc += x[i];
-  return acc;
-}
-
-// ---- column kernels over a rows x k row-major range ----
-
-template <typename T>
-void axpy_cols_t(const T* a, const T* x, T* y, std::size_t rows,
-                 std::size_t k) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const T* xr = x + r * k;
-    T* yr = y + r * k;
-    for (std::size_t c = 0; c < k; ++c) yr[c] += a[c] * xr[c];
-  }
-}
-
-template <typename T>
-void xpay_cols_t(const T* x, const T* a, T* y, std::size_t rows,
-                 std::size_t k) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const T* xr = x + r * k;
-    T* yr = y + r * k;
-    for (std::size_t c = 0; c < k; ++c) yr[c] = xr[c] + a[c] * yr[c];
-  }
-}
-
-template <typename T>
-void scale_cols_t(const T* a, T* x, std::size_t rows, std::size_t k) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    T* xr = x + r * k;
-    for (std::size_t c = 0; c < k; ++c) xr[c] *= a[c];
-  }
-}
-
-template <typename T>
-void copy_cols_t(const T* src, T* dst, std::size_t rows, std::size_t k) {
-  for (std::size_t i = 0, n = rows * k; i < n; ++i) dst[i] = src[i];
-}
-
-template <typename T>
-void sub_cols_t(const T* m, T* x, std::size_t rows, std::size_t k) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    T* xr = x + r * k;
-    for (std::size_t c = 0; c < k; ++c) xr[c] -= m[c];
-  }
-}
-
-template <typename T>
-void dot_cols_acc_t(const T* x, const T* y, std::size_t rows, std::size_t k,
-                    T* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const T* xr = x + r * k;
-    const T* yr = y + r * k;
-    for (std::size_t c = 0; c < k; ++c) acc[c] += xr[c] * yr[c];
-  }
-}
-
-template <typename T>
-void dot_diff_cols_acc_t(const T* z, const T* x, const T* y, std::size_t rows,
-                         std::size_t k, T* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const T* zr = z + r * k;
-    const T* xr = x + r * k;
-    const T* yr = y + r * k;
-    for (std::size_t c = 0; c < k; ++c) acc[c] += zr[c] * (xr[c] - yr[c]);
-  }
-}
-
-template <typename T>
-void sum_cols_acc_t(const T* x, std::size_t rows, std::size_t k, T* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const T* xr = x + r * k;
-    for (std::size_t c = 0; c < k; ++c) acc[c] += xr[c];
-  }
-}
-
-// ---- CSR ----
-
-// Per-row serial accumulation chain: identical in every backend.
-inline void spmv_rows_d(const std::size_t* off, const std::uint32_t* col,
-                        const double* val, const double* x, double* y,
-                        std::size_t r0, std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double acc = 0.0;
-    for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
-      acc += val[p] * x[col[p]];
-    }
-    y[i] = acc;
-  }
-}
-
-template <typename T>
-void spmm_rows_t(const std::size_t* off, const std::uint32_t* col,
-                 const T* val, const T* x, T* y, std::size_t r0,
-                 std::size_t r1, std::size_t k) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    T* yr = y + i * k;
-    for (std::size_t c = 0; c < k; ++c) yr[c] = T(0);
-    for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
-      T v = val[p];
-      const T* xr = x + static_cast<std::size_t>(col[p]) * k;
-      for (std::size_t c = 0; c < k; ++c) yr[c] += v * xr[c];
-    }
-  }
-}
-
-// ---- elimination fold / back-substitution over columns [c0, c1) ----
-
-template <typename T>
-void fold_cols_t(const ElimStep* steps, std::size_t nsteps, T* folded,
-                 std::size_t k, std::size_t c0, std::size_t c1) {
-  for (std::size_t s_idx = 0; s_idx < nsteps; ++s_idx) {
-    const ElimStep& s = steps[s_idx];
-    const T* fv = folded + static_cast<std::size_t>(s.v) * k;
-    if (s.degree >= 1) {
-      T f = static_cast<T>(s.w1 / s.pivot);
-      T* fu = folded + static_cast<std::size_t>(s.u1) * k;
-      for (std::size_t c = c0; c < c1; ++c) fu[c] += f * fv[c];
-    }
-    if (s.degree == 2) {
-      T f = static_cast<T>(s.w2 / s.pivot);
-      T* fu = folded + static_cast<std::size_t>(s.u2) * k;
-      for (std::size_t c = c0; c < c1; ++c) fu[c] += f * fv[c];
-    }
-  }
-}
-
-template <typename T>
-void backsub_cols_t(const ElimStep* steps, std::size_t nsteps, const T* folded,
-                    T* x, std::size_t k, std::size_t c0, std::size_t c1) {
-  for (std::size_t s_idx = nsteps; s_idx-- > 0;) {
-    const ElimStep& s = steps[s_idx];
-    T* xv = x + static_cast<std::size_t>(s.v) * k;
-    const T* fb = folded + static_cast<std::size_t>(s.v) * k;
-    if (s.degree == 0) {
-      for (std::size_t c = c0; c < c1; ++c) xv[c] = T(0);
-    } else if (s.degree == 1) {
-      T piv = static_cast<T>(s.pivot);
-      const T* xu1 = x + static_cast<std::size_t>(s.u1) * k;
-      for (std::size_t c = c0; c < c1; ++c) xv[c] = fb[c] / piv + xu1[c];
-    } else {
-      T piv = static_cast<T>(s.pivot);
-      T w1 = static_cast<T>(s.w1);
-      T w2 = static_cast<T>(s.w2);
-      const T* xu1 = x + static_cast<std::size_t>(s.u1) * k;
-      const T* xu2 = x + static_cast<std::size_t>(s.u2) * k;
-      for (std::size_t c = c0; c < c1; ++c) {
-        xv[c] = (fb[c] + w1 * xu1[c] + w2 * xu2[c]) / piv;
-      }
-    }
-  }
-}
-
-// ---- backend factories (backend_{scalar,avx2,avx512}.cpp) ----
 
 const Backend& scalar_backend();
 /// Only callable when the matching *_supported() is true; on non-x86 builds

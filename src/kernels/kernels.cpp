@@ -69,6 +69,36 @@ const Backend& pick_backend() {
   return best_supported();
 }
 
+// ---- serial chains: one left fold from +0.0 each.  They are the same in
+//      every ISA, so they are plain functions, not Backend entries. ----
+
+double dot_serial(const double* x, const double* y, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
+  return acc;
+}
+
+double sum_serial(const double* x, std::size_t n) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) acc += x[i];
+  return acc;
+}
+
+// Kept out of line: inlined into the spmv/spmm block lambdas it ran slower
+// end to end (DESIGN.md §9).
+[[gnu::noinline]] void spmv_rows(const std::size_t* off,
+                                 const std::uint32_t* col, const double* val,
+                                 const double* x, double* y, std::size_t r0,
+                                 std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    double acc = 0.0;
+    for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
+      acc += val[p] * x[col[p]];
+    }
+    y[i] = acc;
+  }
+}
+
 // Column-chunk width for batched fold/backsub: a full cache line of doubles
 // per chunk avoids false sharing between workers on the same row (same
 // constant the pre-backend greedy_elimination.cpp used).
@@ -267,17 +297,16 @@ double dot(const Vec& x, const Vec& y) {
   assert(x.size() == y.size());
   std::size_t n = x.size();
   if (n == 0) return 0.0;
-  const Backend& be = backend();
   GranularitySite& site = vec_reduce_site();
   std::size_t nb = canonical_blocks(n, 0);
   if (nb == 1) {
     parsdd::detail::SeqTimer timer(site, n);
-    return be.dot_serial_f64(x.data(), y.data(), n);
+    return dot_serial(x.data(), y.data(), n);
   }
   std::vector<double> partial(nb, 0.0);
   auto block_fold = [&](std::size_t b) {
     std::size_t s = b * kDefaultGrain, e = std::min(n, s + kDefaultGrain);
-    partial[b] = be.dot_serial_f64(x.data() + s, y.data() + s, e - s);
+    partial[b] = dot_serial(x.data() + s, y.data() + s, e - s);
   };
   if (site.should_parallelize(n)) {
     ThreadPool::instance().run_blocks(nb, block_fold);
@@ -315,17 +344,16 @@ Vec subtract(const Vec& x, const Vec& y) {
 double sum(const Vec& x) {
   std::size_t n = x.size();
   if (n == 0) return 0.0;
-  const Backend& be = backend();
   GranularitySite& site = vec_reduce_site();
   std::size_t nb = canonical_blocks(n, 0);
   if (nb == 1) {
     parsdd::detail::SeqTimer timer(site, n);
-    return be.sum_serial_f64(x.data(), n);
+    return sum_serial(x.data(), n);
   }
   std::vector<double> partial(nb, 0.0);
   auto block_fold = [&](std::size_t b) {
     std::size_t s = b * kDefaultGrain, e = std::min(n, s + kDefaultGrain);
-    partial[b] = be.sum_serial_f64(x.data() + s, e - s);
+    partial[b] = sum_serial(x.data() + s, e - s);
   };
   if (site.should_parallelize(n)) {
     ThreadPool::instance().run_blocks(nb, block_fold);
@@ -546,10 +574,9 @@ void spmv(const std::size_t* off, const std::uint32_t* col, const double* val,
           std::size_t n, std::size_t nnz, const Vec& x, Vec& y) {
   assert(x.size() == n && y.size() == n);
   static GranularitySite site("csr.spmv", /*init_ns_per_unit=*/2.0);
-  const Backend& be = backend();
   run_elementwise(site, n, nnz, /*grain=*/512,
                   [&](std::size_t s, std::size_t e) {
-                    be.spmv_rows_f64(off, col, val, x.data(), y.data(), s, e);
+                    spmv_rows(off, col, val, x.data(), y.data(), s, e);
                   });
 }
 
@@ -562,8 +589,8 @@ void spmm(const std::size_t* off, const std::uint32_t* col, const double* val,
   run_elementwise(site, n, nnz * k, /*grain=*/512,
                   [&](std::size_t s, std::size_t e) {
                     if (k == 1) {  // same per-row chain from +0.0 as SpMM
-                      be.spmv_rows_f64(off, col, val, x.data().data(),
-                                       y.data().data(), s, e);
+                      spmv_rows(off, col, val, x.data().data(),
+                                y.data().data(), s, e);
                     } else {
                       be.spmm_rows_f64(off, col, val, x.data().data(),
                                        y.data().data(), s, e, k);

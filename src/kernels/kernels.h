@@ -4,11 +4,13 @@
 // Two layers:
 //
 //   1. kernels::Backend — a table of C function pointers over flat row-major
-//      ranges (BLAS-1 column kernels, CSR SpMV/SpMM with k-dimension
+//      ranges (elementwise BLAS-1, column kernels, CSR SpMM with k-dimension
 //      blocking, elimination fold/backsub column chunks), selected once per
 //      process from {scalar, avx2, avx512} via cpuid with a
-//      PARSDD_SIMD=scalar|avx2|avx512|auto override.  The backend functions
-//      are SERIAL over their range; parallelism stays in layer 2.
+//      PARSDD_SIMD=scalar|avx2|avx512|auto override.  All three tables are
+//      built from one kernel source (backend_kernels.h) compiled once per
+//      ISA.  The backend functions are SERIAL over their range; parallelism
+//      stays in layer 2.
 //   2. The parsdd::kernels:: free functions — the deterministic parallel
 //      entry points the solvers call.  They own the GranularitySites and the
 //      canonical block partition, and invoke the selected backend once per
@@ -21,9 +23,10 @@
 // chain, and never with FMA contraction.  Each column therefore performs
 // the exact IEEE operation sequence of the scalar backend, which is why
 // PARSDD_SIMD=scalar and =avx512 solves are bitwise identical (test_kernels
-// locks this in).  Serial-chain reductions (single-Vec dot/sum, per-row
-// SpMV accumulation) stay scalar in every backend by design; layer 2 may
-// step several independent chains in one loop, never split one.
+// locks this in).  The serial chains (single-Vec dot/sum, per-row SpMV
+// accumulation) are the same in every ISA, so they are not in the table:
+// layer 2 runs them as plain functions, and may step several independent
+// chains in one loop, never split one.
 #pragma once
 
 #include <cstddef>
@@ -62,11 +65,6 @@ struct Backend {
                   std::size_t n);
   void (*sub_scalar_f64)(double m, double* x, std::size_t n);  // x[i] -= m
 
-  // ---- serial-chain reductions (scalar in EVERY backend: vectorizing
-  //      would reorder the additions and break bitwise determinism) ----
-  double (*dot_serial_f64)(const double* x, const double* y, std::size_t n);
-  double (*sum_serial_f64)(const double* x, std::size_t n);
-
   // ---- column kernels over a rows x k row-major range ----
   void (*axpy_cols_f64)(const double* a, const double* x, double* y,
                         std::size_t rows, std::size_t k);
@@ -86,10 +84,7 @@ struct Backend {
   void (*sum_cols_acc_f64)(const double* x, std::size_t rows, std::size_t k,
                            double* acc);
 
-  // ---- CSR over row range [r0, r1) ----
-  void (*spmv_rows_f64)(const std::size_t* off, const std::uint32_t* col,
-                        const double* val, const double* x, double* y,
-                        std::size_t r0, std::size_t r1);
+  // ---- CSR SpMM over row range [r0, r1) ----
   void (*spmm_rows_f64)(const std::size_t* off, const std::uint32_t* col,
                         const double* val, const double* x, double* y,
                         std::size_t r0, std::size_t r1, std::size_t k);
@@ -101,7 +96,6 @@ struct Backend {
   void (*backsub_cols_f64)(const ElimStep* steps, std::size_t nsteps,
                            const double* folded, double* x, std::size_t k,
                            std::size_t c0, std::size_t c1);
-
 };
 
 /// The backend selected for this process: the best level the CPU supports,

@@ -2,12 +2,13 @@
 // and the bitwise-SIMD contract (DESIGN.md §9).
 //
 // The correctness tests compare every layer-2 entry point against a naive
-// serial reference at sizes that are NOT multiples of any vector width
-// (rows = 257, k = 5), so remainder handling in the AVX backends is always
-// exercised.  The contract tests re-execute this binary per PARSDD_SIMD
-// value (the env var is read once per process — same subprocess pattern as
-// test_granularity) and demand that a full default-options chain solve is
-// byte-identical across {scalar, avx2, avx512, auto}.
+// serial reference at a prime row count (257) and at every block width in
+// kWidths, which straddles the 8-column vector chunk, the 16-column SpMM
+// chunk and the fold/backsub column chunk, so both the full chunks and every
+// remainder width are exercised.  The contract tests re-execute this
+// binary per PARSDD_SIMD value (the env var is read once per process — same
+// subprocess pattern as test_granularity) and demand that a k = 1 and a
+// k = 17 chain solve are byte-identical across {scalar, avx2, avx512, auto}.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -34,6 +35,9 @@ namespace {
 
 constexpr std::size_t kRows = 257;  // prime: never a vector-width multiple
 constexpr std::size_t kCols = 5;    // odd k: exercises remainder columns
+// Block widths for the naive-reference tests: below, at and just past each
+// chunk width (8 and 16 columns), plus the odd remainders in between.
+constexpr std::size_t kWidths[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17};
 
 MultiVec filled(std::uint64_t seed, std::size_t rows = kRows,
                 std::size_t cols = kCols) {
@@ -50,6 +54,25 @@ Vec filled_vec(std::uint64_t seed, std::size_t n = kRows) {
   Vec v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = rng.uniform(i) - 0.5;
   return v;
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const MultiVec& a, const MultiVec& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         same_bits(a.data(), b.data());
+}
+
+// Per-column coefficients with mixed signs, a zero and an inexact fraction.
+ColScalars coefficients(std::size_t k) {
+  const double pool[] = {0.5, -2.0, 1.0 / 3.0, 0.0, 7.25, -0.125, 3.5};
+  ColScalars a(k);
+  for (std::size_t c = 0; c < k; ++c) a[c] = pool[c % 7] + 0.25 * (c / 7);
+  return a;
 }
 
 TEST(BackendSelection, NameMatchesTableAndLevel) {
@@ -105,57 +128,79 @@ TEST(VecKernels, MatchNaiveReference) {
 // Column kernels against naive references, with and without masks.
 
 TEST(ColKernels, AxpyXpayScaleCopyMatchNaive) {
-  MultiVec x = filled(10), y0 = filled(11);
-  ColScalars a = {0.5, -2.0, 1.0 / 3.0, 0.0, 7.25};
+  for (std::size_t k : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    MultiVec x = filled(10, kRows, k), y0 = filled(11, kRows, k);
+    ColScalars a = coefficients(k);
 
-  MultiVec y = y0;
-  kernels::axpy_cols(a, x, y);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      ASSERT_EQ(y.at(i, c), y0.at(i, c) + a[c] * x.at(i, c)) << i << "," << c;
+    MultiVec y = y0;
+    kernels::axpy_cols(a, x, y);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(y.at(i, c), y0.at(i, c) + a[c] * x.at(i, c))
+            << i << "," << c;
+      }
     }
-  }
 
-  y = y0;
-  kernels::xpay_cols(x, a, y);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      ASSERT_EQ(y.at(i, c), x.at(i, c) + a[c] * y0.at(i, c)) << i << "," << c;
+    y = y0;
+    kernels::xpay_cols(x, a, y);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(y.at(i, c), x.at(i, c) + a[c] * y0.at(i, c))
+            << i << "," << c;
+      }
     }
-  }
 
-  y = y0;
-  kernels::scale_cols(a, y);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      ASSERT_EQ(y.at(i, c), a[c] * y0.at(i, c));
+    y = y0;
+    kernels::scale_cols(a, y);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(y.at(i, c), a[c] * y0.at(i, c)) << i << "," << c;
+      }
     }
-  }
 
-  y.assign(kRows, kCols, 0.0);
-  kernels::copy_cols(x, y);
-  EXPECT_EQ(y.data(), x.data());
+    y = y0;
+    kernels::project_out_constant_cols(y);
+    ColScalars mean(k, 0.0);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) mean[c] += y0.at(i, c);
+    }
+    for (double& m : mean) m /= static_cast<double>(kRows);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(y.at(i, c), y0.at(i, c) - mean[c]) << i << "," << c;
+      }
+    }
+
+    y.assign(kRows, k, 0.0);
+    kernels::copy_cols(x, y);
+    EXPECT_EQ(y.data(), x.data());
+  }
 }
 
 TEST(ColKernels, ReductionsMatchSerialChain) {
-  MultiVec x = filled(20), y = filled(21), z = filled(22);
-  ColScalars dot_ref(kCols, 0.0), diff_ref(kCols, 0.0), sum_ref(kCols, 0.0);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      dot_ref[c] += x.at(i, c) * y.at(i, c);
-      diff_ref[c] += z.at(i, c) * (x.at(i, c) - y.at(i, c));
-      sum_ref[c] += x.at(i, c);
+  for (std::size_t k : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    MultiVec x = filled(20, kRows, k), y = filled(21, kRows, k),
+             z = filled(22, kRows, k);
+    ColScalars dot_ref(k, 0.0), diff_ref(k, 0.0), sum_ref(k, 0.0);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        dot_ref[c] += x.at(i, c) * y.at(i, c);
+        diff_ref[c] += z.at(i, c) * (x.at(i, c) - y.at(i, c));
+        sum_ref[c] += x.at(i, c);
+      }
     }
-  }
-  // kRows < kDefaultGrain: one canonical block, so the kernel's reduction
-  // chain is the serial chain and equality is exact.
-  EXPECT_EQ(kernels::dot_cols(x, y), dot_ref);
-  EXPECT_EQ(kernels::dot_diff_cols(z, x, y), diff_ref);
-  EXPECT_EQ(kernels::sum_cols(x), sum_ref);
-  ColScalars n2 = kernels::norm2_cols(x);
-  ColScalars self = kernels::dot_cols(x, x);
-  for (std::size_t c = 0; c < kCols; ++c) {
-    ASSERT_EQ(n2[c], std::sqrt(self[c]));
+    // kRows < kDefaultGrain: one canonical block, so the kernel's reduction
+    // chain is the serial chain and equality is exact.
+    EXPECT_EQ(kernels::dot_cols(x, y), dot_ref);
+    EXPECT_EQ(kernels::dot_diff_cols(z, x, y), diff_ref);
+    EXPECT_EQ(kernels::sum_cols(x), sum_ref);
+    ColScalars n2 = kernels::norm2_cols(x);
+    ColScalars self = kernels::dot_cols(x, x);
+    for (std::size_t c = 0; c < k; ++c) {
+      ASSERT_EQ(n2[c], std::sqrt(self[c]));
+    }
   }
 }
 
@@ -214,17 +259,65 @@ TEST(SparseKernels, SpmvSpmmMatchNaive) {
     ASSERT_EQ(y[i], acc) << i;
   }
 
-  MultiVec xm = filled(51, g.n, kCols);
-  MultiVec ym(g.n, kCols, 0.0);
-  kernels::spmm(off, col, val, g.n, lap.num_nonzeros(), xm, ym);
-  for (std::size_t i = 0; i < g.n; ++i) {
-    for (std::size_t c = 0; c < kCols; ++c) {
-      double acc = 0.0;
-      for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
-        acc += val[p] * xm.at(col[p], c);
+  for (std::size_t k : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    MultiVec xm = filled(51, g.n, k);
+    MultiVec ym(g.n, k, 0.0);
+    kernels::spmm(off, col, val, g.n, lap.num_nonzeros(), xm, ym);
+    for (std::size_t i = 0; i < g.n; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        double acc = 0.0;
+        for (std::size_t p = off[i]; p < off[i + 1]; ++p) {
+          acc += val[p] * xm.at(col[p], c);
+        }
+        ASSERT_EQ(ym.at(i, c), acc) << i << "," << c;
       }
-      ASSERT_EQ(ym.at(i, c), acc) << i << "," << c;
     }
+  }
+}
+
+// Elimination fold / back-substitution against a naive walk of the step
+// record, column by column, at every block width: the column chunks split
+// k into full 8-column chunks plus a remainder chunk.
+TEST(ElimKernels, FoldBacksubMatchNaive) {
+  GeneratedGraph g = grid2d(40, 37);
+  randomize_weights_log_uniform(g.edges, 100.0, 9);
+  GreedyEliminationResult el = greedy_eliminate(g.n, g.edges, 3);
+  const std::vector<EliminationStep>& steps = el.steps;
+  ASSERT_FALSE(steps.empty());
+  for (std::size_t k : kWidths) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    MultiVec folded = filled(94, g.n, k);
+    MultiVec fold_ref = folded;
+    kernels::fold_steps(steps.data(), steps.size(), folded);
+    for (const EliminationStep& s : steps) {
+      for (std::size_t c = 0; c < k; ++c) {
+        double fv = fold_ref.at(s.v, c);
+        if (s.degree >= 1) fold_ref.at(s.u1, c) += s.w1 / s.pivot * fv;
+        if (s.degree == 2) fold_ref.at(s.u2, c) += s.w2 / s.pivot * fv;
+      }
+    }
+    EXPECT_TRUE(same_bits(folded, fold_ref));
+
+    MultiVec x = filled(95, g.n, k);
+    MultiVec x_ref = x;
+    kernels::backsub_steps(steps.data(), steps.size(), folded, x);
+    for (std::size_t i = steps.size(); i-- > 0;) {
+      const EliminationStep& s = steps[i];
+      for (std::size_t c = 0; c < k; ++c) {
+        double& xv = x_ref.at(s.v, c);
+        double fb = folded.at(s.v, c);
+        if (s.degree == 0) {
+          xv = 0.0;
+        } else if (s.degree == 1) {
+          xv = fb / s.pivot + x_ref.at(s.u1, c);
+        } else {
+          xv = (fb + s.w1 * x_ref.at(s.u1, c) + s.w2 * x_ref.at(s.u2, c)) /
+               s.pivot;
+        }
+      }
+    }
+    EXPECT_TRUE(same_bits(x, x_ref));
   }
 }
 
@@ -254,17 +347,6 @@ TEST(RowKernels, GatherScatterRoundTrip) {
 // row counts straddle the 8-wide flat view and the canonical block size.
 
 constexpr std::size_t kFlatRows[] = {1, 7, 8, 2047, 2049, 4097};
-
-bool same_bits(const Vec& a, const Vec& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-bool same_bits(const MultiVec& a, const MultiVec& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         same_bits(a.data(), b.data());
-}
 
 // The canonical block fold: a serial chain from +0.0 per kDefaultGrain-row
 // block, partials combined from +0.0 in block order (one block is its own
@@ -449,8 +531,11 @@ TEST(Kernels, BlockColumnsEqualSingleSolvesBitwise) {
 // every PARSDD_SIMD setting.  The env var is latched on first backend()
 // use, so each configuration runs in a child process.
 
-// Child mode: default-options chain solve on a fixed grid, raw solution
-// bytes dumped to the env-named file.  Also a smoke test under plain ctest.
+// Child mode: default-options chain solves, raw solution bytes dumped to
+// the env-named file.  A k = 1 solve on a grid runs the one-column routes;
+// a k = 17 block solve on a 3-D grid whose chain has two levels runs the
+// 16- and 8-column vector bodies and the remainder column of every column
+// kernel, SpMM and fold/backsub chunk.  Also a smoke test under plain ctest.
 TEST(KernelsChild, SolveAndDump) {
   GeneratedGraph g = grid2d(24, 24);
   SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges);
@@ -459,11 +544,22 @@ TEST(KernelsChild, SolveAndDump) {
   StatusOr<Vec> x = setup.solve(b);
   ASSERT_TRUE(x.ok()) << x.status().to_string();
 
+  GeneratedGraph g3 = grid3d(12, 12, 12);
+  SolverSetup setup3 = SolverSetup::for_laplacian(g3.n, g3.edges);
+  ASSERT_GE(setup3.chain_levels(), 2u);
+  MultiVec b3 = filled(778, g3.n, 17);
+  kernels::project_out_constant_cols(b3);
+  StatusOr<MultiVec> x3 = setup3.solve_batch(b3);
+  ASSERT_TRUE(x3.ok()) << x3.status().to_string();
+
   const char* out = std::getenv("PARSDD_KERNELS_OUT");
   if (!out) return;
   std::FILE* f = std::fopen(out, "wb");
   ASSERT_NE(f, nullptr) << out;
   ASSERT_EQ(std::fwrite(x->data(), sizeof(double), x->size(), f), x->size());
+  const std::vector<double>& x3d = x3->data();
+  ASSERT_EQ(std::fwrite(x3d.data(), sizeof(double), x3d.size(), f),
+            x3d.size());
   std::fclose(f);
 }
 
