@@ -1,8 +1,6 @@
-// Shared helpers for the experiment benches (E1-E9): wall-clock timing,
-// aligned table output, and machine-readable BENCH_*.json emission so the
-// perf trajectory can be tracked across PRs.  Each bench binary runs with no
-// arguments, prints the table(s) for its experiment id (see DESIGN.md
-// section 3), drops BENCH_<name>.json in the working directory, and exits.
+// Helpers for bench_scaling (E14, DESIGN.md section 3): wall-clock timing,
+// the table header, and BENCH_<name>.json emission in the working
+// directory, which the CI lane uploads as an artifact.
 #pragma once
 
 #include <chrono>
@@ -37,18 +35,11 @@ inline void header(const char* experiment, const char* claim) {
               claim, parsdd::kernels::backend_name());
 }
 
-/// Effective memory bandwidth in GB/s for a kernel that moves `bytes` in
-/// `seconds` — the roofline-style figure the SIMD columns of the solve
-/// benches report next to their wall-clock ms.
-inline double gbps(double bytes, double seconds) {
-  return seconds > 0.0 ? bytes / seconds * 1e-9 : 0.0;
-}
-
 /// Accumulates flat key/value records and writes them as a JSON array to
 /// BENCH_<name>.json.  One record per measured configuration; numeric
 /// values keep full precision.  Usage:
-///   BenchJson json("batch");
-///   json.record().num("n", n).num("setup_ms", ms).str("mode", "batch");
+///   BenchJson json("scaling");
+///   json.record().str("phase", "setup").num("ms", ms);
 ///   json.write();
 class BenchJson {
  public:

@@ -40,8 +40,8 @@ StatusOr<MaxflowResult> approx_max_flow(std::uint32_t n,
                                         std::uint32_t s, std::uint32_t t,
                                         const MaxflowOptions& opts = {});
 
-/// Exact max flow (Edmonds–Karp on the undirected graph); oracle for tests
-/// and the E9 bench.  O(V·E²) — small graphs only.
+/// Exact max flow (Edmonds–Karp on the undirected graph); oracle for
+/// tests.  O(V·E²) — small graphs only.
 double exact_max_flow(std::uint32_t n, const EdgeList& capacities,
                       std::uint32_t s, std::uint32_t t);
 

@@ -66,8 +66,8 @@ struct CoordinatorOptions {
   /// Off, a dead worker's shard stays down (tests use this).
   bool respawn = true;
   /// Forwarded to each worker's embedded SolverService (executor threads,
-  /// micro-batch shape, per-worker backpressure).  coalesce and the setup
-  /// cache are worker-local concerns and keep their defaults.
+  /// micro-batch shape, per-worker backpressure).  The setup cache is a
+  /// worker-local concern and keeps its default.
   std::uint32_t worker_threads = 1;
   std::uint32_t worker_max_batch = 64;
   std::uint32_t worker_linger_us = 200;
@@ -175,7 +175,7 @@ class Coordinator {
   /// placement is untouched.
   Status rebalance(SetupHandle handle, std::uint32_t worker);
 
-  /// Fault injection for tests and bench_dist: SIGKILLs the worker
+  /// Fault injection for tests: SIGKILLs the worker
   /// process.  Recovery (when opts.respawn) proceeds exactly as for a real
   /// crash.
   Status kill_worker(std::uint32_t worker);

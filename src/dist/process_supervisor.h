@@ -13,8 +13,7 @@
 // observes the *stream* dying (EOF / ECONNRESET on read — immediate, no
 // polling), and this module then confirms and reaps the *process* with
 // waitpid.  kill() is exposed for fault injection: the worker-kill tests
-// and bench_dist's recovery measurement SIGKILL a live worker and assert
-// the coordinator's recovery path.
+// SIGKILL a live worker and assert the coordinator's recovery path.
 #pragma once
 
 #include <sys/types.h>

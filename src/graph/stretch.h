@@ -4,7 +4,7 @@
 // str_{G'}(e) = d_{G'}(u,v)/w(e)"; the total stretch sums over E(G).
 // Tree stretch uses LCA distances (exact, O((n+m) log n)); subgraph stretch
 // runs a truncated Dijkstra per distinct endpoint (exact, intended for the
-// moderate sizes used by tests and the E4 bench).
+// moderate sizes used by tests).
 #pragma once
 
 #include <cstdint>

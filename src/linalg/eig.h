@@ -1,7 +1,7 @@
 // Extreme generalized eigenvalues of a matrix pencil (A, B) via power
 // iteration, restricted to the complement of the all-ones null space.
 //
-// Used by tests and the E6 bench to certify the spectral sandwich
+// Used by tests (E6) to certify the spectral sandwich
 // G ≼ H ≼ κG of Lemma 6.1: lambda_max(B⁺A) and lambda_min(B⁺A) measured
 // directly (with B⁺ supplied as a solve callback).
 #pragma once

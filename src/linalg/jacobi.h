@@ -1,4 +1,4 @@
-// Damped Jacobi iteration — the simplest classical baseline (E8 bench).
+// Damped Jacobi iteration — the simplest classical baseline (E8).
 #pragma once
 
 #include "linalg/csr_matrix.h"

@@ -10,8 +10,9 @@
 // asymptotic stretch but are astronomically large at practical n — with them
 // the very first partition would swallow any laptop-scale graph whole.  The
 // implementation therefore exposes (y, z) with practical defaults and a
-// theory() constructor producing the paper's values; the E3 bench reports
-// how measured stretch scales under the practical settings.
+// theory() constructor producing the paper's values; the measured stretch
+// under the practical settings is checked by AkpwFamily tests (E3) and
+// reported by perfbench as lsst.akpw.avg_stretch.
 #pragma once
 
 #include <cstdint>

@@ -32,7 +32,7 @@ bool GranularitySite::should_parallelize(std::uint64_t work) const {
   if (ThreadPool::in_parallel()) return false;
   if (ThreadPool::instance().concurrency() <= 1) return false;
   if (m == Mode::kAlways) return true;
-  return static_cast<double>(work) * ns_per_unit() > spawn_threshold_ns();
+  return static_cast<double>(work) * ns_per_unit() > kSpawnThresholdNs;
 }
 
 bool GranularitySite::should_measure() {
@@ -49,18 +49,6 @@ void GranularitySite::record_sequential(std::uint64_t work,
   double next = seen == 0 ? sample : ns_per_unit() + 0.25 * (sample - ns_per_unit());
   ns_per_unit_bits_.store(std::bit_cast<std::uint64_t>(next),
                           std::memory_order_relaxed);
-}
-
-double GranularitySite::spawn_threshold_ns() {
-  static const double threshold = [] {
-    if (const char* s = std::getenv("PARSDD_GRAIN_NS")) {
-      char* end = nullptr;
-      double parsed = std::strtod(s, &end);
-      if (end != s && parsed > 0.0) return parsed;
-    }
-    return 20000.0;
-  }();
-  return threshold;
 }
 
 GranularitySite::Mode GranularitySite::mode() {

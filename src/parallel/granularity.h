@@ -12,7 +12,7 @@
 // nanoseconds-per-work-unit constant from measured sequential executions,
 // and the loop runs in parallel only when
 //
-//     predicted_ns = work * ns_per_unit  >  spawn_threshold_ns
+//     predicted_ns = work * ns_per_unit  >  kSpawnThresholdNs
 //
 // i.e. only when the loop amortizes its own spawn cost.  `work` is a caller
 // abstraction: iterations for uniform loops, nnz * cols for SpMM-shaped
@@ -93,9 +93,9 @@ class GranularitySite {
 
   const char* name() const { return name_; }
 
-  /// Spawn threshold in nanoseconds (PARSDD_GRAIN_NS overrides; default
-  /// 20000 ns ~ a handful of pool dispatches).
-  static double spawn_threshold_ns();
+  /// Spawn threshold in nanoseconds: 20000 ns ~ a handful of pool
+  /// dispatches.
+  static constexpr double kSpawnThresholdNs = 20000.0;
 
   /// Execution-mode override from PARSDD_PARALLEL: "always" forces the
   /// pool path whenever legal (stress tests), "never" forces inline

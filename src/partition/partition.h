@@ -5,7 +5,7 @@
 // every class j has at most |E_j| * c₁ * k * log³n / ρ cut edges; if any
 // class fails, the whole decomposition is redrawn with a fresh seed.
 // Corollary 4.8 makes each attempt succeed with probability >= 1/4, so the
-// attempt count is geometric (validated by the E2 bench).
+// attempt count is geometric.
 #pragma once
 
 #include <cstdint>

@@ -521,7 +521,7 @@ std::shared_ptr<SolverService::Impl::SingleBlockJob>
 SolverService::Impl::collect_singles(MutexLock& lock, std::uint64_t id,
                                      std::deque<PendingSingle>& singles) {
   if (singles.empty()) return nullptr;  // stale ticket: already coalesced
-  if (opts.coalesce && opts.max_linger_us > 0) {
+  if (opts.max_linger_us > 0) {
     // Let the block fill: wait (lock released) until max_batch columns are
     // pending or the oldest request has lingered its budget.  Shutdown cuts
     // the linger short so teardown never waits on the clock, and pending
@@ -536,9 +536,7 @@ SolverService::Impl::collect_singles(MutexLock& lock, std::uint64_t id,
       cv_dispatch.wait_until(lock, deadline);
     }
   }
-  std::size_t take =
-      opts.coalesce ? std::min<std::size_t>(singles.size(), opts.max_batch)
-                    : 1;
+  std::size_t take = std::min<std::size_t>(singles.size(), opts.max_batch);
   auto job = std::make_shared<SingleBlockJob>();
   job->setup = singles.front().setup;
   job->handle_id = id;

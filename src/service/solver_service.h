@@ -85,9 +85,6 @@ struct ServiceOptions {
   std::size_t max_pending = 4096;
   /// Executor threads running the dispatched solve_batch blocks.
   std::uint32_t workers = 1;
-  /// When false every request is dispatched as its own 1-column block —
-  /// the "no micro-batching" baseline bench_service measures against.
-  bool coalesce = true;
   /// Built setups kept for fingerprint-matched reuse across registrations
   /// (service/setup_cache.h); 0 disables the cache.  Snapshot-loaded
   /// setups bypass it (their build inputs are not known to the service).

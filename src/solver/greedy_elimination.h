@@ -7,9 +7,9 @@
 // "a slight generalization of parallel tree contraction [MR89]".  The
 // parallel version eliminates, per round, an independent set of degree-≤2
 // vertices chosen by random priorities — a constant fraction of the "extra"
-// vertices in expectation, so O(log n) rounds whp (validated by the E5
-// bench).  The output graph has at most 2·(m-n+1)-ish vertices left, i.e.
-// no vertices of degree <= 2 remain.
+// vertices in expectation, so O(log n) rounds whp (checked by
+// GreedyElimination.RoundsLogarithmic).  The output graph has at most
+// 2·(m-n+1)-ish vertices left, i.e. no vertices of degree <= 2 remain.
 //
 // Each elimination is recorded so linear systems factor through the
 // reduction exactly: forward-substitution folds the RHS onto the kept

@@ -44,7 +44,7 @@ struct RecursiveSolverOptions {
   /// budget for the inner solve of A_{i}.  The inner solve must be fairly
   /// accurate — an ultra-sparse B_i is an excellent preconditioner only
   /// when actually *solved*; a sloppy inner solve degrades the whole chain
-  /// (measured in the E8 ablation bench).
+  /// (DESIGN.md section 2).
   double inner_tolerance = 0.1;
   std::uint32_t inner_max_iterations = 40;
   /// Chebyshev mode: iterations per level visit;

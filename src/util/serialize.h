@@ -4,7 +4,8 @@
 // incremental sparsify, greedy elimination, the dense bottom factor — is
 // RHS-independent and deterministic, so it is worth shipping between
 // processes: build once, Save(), and every later server restart Load()s the
-// chain instead of rebuilding it (bench_persistence measures the gap).
+// chain instead of rebuilding it (Persistence.LoadIsCheaperThanBuild holds
+// the gap).
 // Writer/Reader are the one encoding every serialized type shares, so the
 // format has a single definition of truth:
 //
@@ -134,7 +135,7 @@ class Reader {
   /// cannot be opened; InvalidArgument when it is shorter than a trailer
   /// or the checksum does not match.  Mapping instead of copying is what
   /// keeps warm-start load time at page-cache speed: the payload is
-  /// decoded straight out of the mapping (E13 measures the difference).
+  /// decoded straight out of the mapping (perfbench: util.snapshot.load_s).
   static StatusOr<Reader> from_file(const std::string& path);
 
   /// Validates magic, endianness, and version; each failure is a distinct

@@ -1,12 +1,16 @@
 // Setup persistence: round-trips for every serialized type, the bitwise
-// saved-vs-loaded solve contract, service warm-start, and clean typed
-// failures on truncated / corrupt / version-mismatched snapshots.
+// saved-vs-loaded solve contract, load cheaper than build, service
+// warm-start, and clean typed failures on truncated / corrupt /
+// version-mismatched snapshots.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -286,6 +290,37 @@ TEST(Persistence, SetupSaveLoadSolveBitwise) {
   ASSERT_TRUE(ya.ok() && yb.ok());
   EXPECT_EQ(0, std::memcmp(ya->data().data(), yb->data().data(),
                            ya->data().size() * sizeof(double)));
+}
+
+TEST(Persistence, LoadIsCheaperThanBuild) {
+  // The warm-start claim: a restart pays snapshot-load time, not
+  // chain-build time.  Best of three on each side damps scheduler noise;
+  // the 4x bar sits well under the ~15x a 100x100 grid measures.
+  using Clock = std::chrono::steady_clock;
+  auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  GeneratedGraph g = grid2d(100, 100);
+  TempFile file("load_vs_build");
+  double build_s = std::numeric_limits<double>::infinity();
+  double load_s = build_s;
+  for (int rep = 0; rep < 3; ++rep) {
+    Clock::time_point t0 = Clock::now();
+    SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges);
+    build_s = std::min(build_s, seconds_since(t0));
+    if (rep == 0) {
+      ASSERT_TRUE(setup.Save(file.path()).ok());
+    }
+  }
+  for (int rep = 0; rep < 3; ++rep) {
+    Clock::time_point t0 = Clock::now();
+    StatusOr<SolverSetup> loaded = SolverSetup::Load(file.path());
+    load_s = std::min(load_s, seconds_since(t0));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  }
+  EXPECT_LE(load_s, build_s / 4)
+      << "best build " << 1e3 * build_s << " ms, best load " << 1e3 * load_s
+      << " ms";
 }
 
 TEST(Persistence, SetupSaveLoadSddGrembanBitwise) {

@@ -207,7 +207,7 @@ TEST(SolverService, BackpressureReturnsResourceExhausted) {
 
 TEST(SolverService, UncoalescedModeStillCorrect) {
   ServiceOptions opts;
-  opts.coalesce = false;
+  opts.max_batch = 1;  // every request rides alone in a 1-column block
   SolverService service(opts);
   GeneratedGraph g = grid2d(8, 8);
   SetupHandle h = service.register_laplacian(g.n, g.edges).value();

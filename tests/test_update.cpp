@@ -15,20 +15,24 @@
 //     update_seq, the quality counters, and chain staleness);
 //   * through SolverService: weight-only updates apply synchronously with
 //     no rebuild, structural updates swap in asynchronously with zero
-//     failed in-flight solves, the quality monitor schedules a rebuild
-//     when stale-chain drift crosses the threshold, and an updated handle
-//     never aliases its pre-update setup-cache entry (the fingerprint
-//     extension contract);
+//     failed in-flight solves, a stream of updates under concurrent
+//     clients fails no solve and no update, the quality monitor schedules
+//     a rebuild when stale-chain drift crosses the threshold, and an
+//     updated handle never aliases its pre-update setup-cache entry (the
+//     fingerprint extension contract);
 //   * post-update solves stay bitwise deterministic across pool sizes and
 //     SIMD backends (subprocess matrix, same idiom as test_determinism).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "file_test_util.h"
@@ -489,6 +493,73 @@ TEST(ServiceUpdate, StructuralSwapsAsyncWithZeroFailedSolves) {
   EdgeList ref = apply_deltas_reference(g.edges, deltas);
   Vec x = service.submit(h, b).get().value().x;
   EXPECT_LE(rel_residual(g.n, ref, x, b), kResidualHeadroom);
+}
+
+TEST(ServiceUpdate, UpdateStreamUnderConcurrentSolvesHasZeroFailures) {
+  // Client threads solve in a loop while the main thread streams
+  // weight-only batches, then inserts and removes a chord (each an async
+  // rebuild).  No solve and no update may fail, and the handle ends up
+  // answering for the original graph again.
+  ServiceOptions sopts;
+  sopts.workers = 2;
+  SolverService service(sopts);
+  GeneratedGraph g = grid2d(12, 12);
+  SetupHandle h = service.register_laplacian(g.n, g.edges).value();
+  std::vector<Vec> rhs;
+  for (std::uint64_t j = 0; j < 4; ++j) {
+    rhs.push_back(consistent_rhs(g.n, 60 + j));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ok{0}, failed{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = 0; !stop.load(); ++i) {
+        StatusOr<SolveResult> r = service.submit(h, rhs[(c + i) % 4]).get();
+        (r.ok() ? ok : failed).fetch_add(1);
+      }
+    });
+  }
+  auto await_swap = [&service] {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.stats().rebuilds_in_flight != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(service.stats().rebuilds_in_flight, 0u);
+  };
+
+  // Rescale the same 8 edges up and back down, so the weights end where
+  // they started.  EXPECT, not ASSERT, until the clients are joined: an
+  // early return would destroy joinable threads.
+  constexpr int kWeightBatches = 16;
+  for (int i = 0; i < kWeightBatches; ++i) {
+    std::vector<EdgeDelta> batch;
+    const double scale = i % 2 == 0 ? 1.5 : 1.0;
+    for (std::size_t e = 0; e < 8; ++e) {
+      batch.push_back({g.edges[e].u, g.edges[e].v, g.edges[e].w * scale});
+    }
+    StatusOr<UpdateAck> ack = service.update(h, batch);
+    EXPECT_TRUE(ack.ok()) << ack.status().to_string();
+  }
+  const EdgeDelta chord{0, 40, 2.0};
+  StatusOr<UpdateAck> ins = service.update(h, {chord});
+  EXPECT_TRUE(ins.ok()) << ins.status().to_string();
+  await_swap();
+  StatusOr<UpdateAck> rem = service.update(h, {{chord.u, chord.v, 0.0}});
+  EXPECT_TRUE(rem.ok()) << rem.status().to_string();
+  await_swap();
+
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+  service.drain();
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(ok.load(), 0u);
+  EXPECT_GE(service.stats().rebuilds_completed, 2u);
+
+  Vec x = service.submit(h, rhs[0]).get().value().x;
+  EXPECT_LE(rel_residual(g.n, g.edges, x, rhs[0]), kResidualHeadroom);
 }
 
 TEST(ServiceUpdate, CacheNeverServesUpdatedSetup) {
