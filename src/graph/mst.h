@@ -6,6 +6,9 @@
 // (parallel sort + union-find; the work-efficient default) and Borůvka
 // (parallel hook rounds; O(log n) rounds, matching the PRAM flavor of the
 // paper).  Both return indices into the input edge list.
+//
+// Weights are *lengths*: the tree minimizes total weight.  Given a
+// Laplacian's resistances 1/w, it is the maximum-conductance spanning tree.
 #pragma once
 
 #include <cstdint>

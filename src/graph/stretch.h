@@ -2,6 +2,9 @@
 //
 // Section 2: "For an edge e = {u,v}, the stretch of e on G' is
 // str_{G'}(e) = d_{G'}(u,v)/w(e)"; the total stretch sums over E(G).
+// Every weight here, of `edges` and of the tree, is a *length*.  For a
+// Laplacian pass resistances 1/w, giving the spectral stretch
+// w_e · Σ_path 1/w_f.
 // Tree stretch uses LCA distances (exact, O((n+m) log n)); subgraph stretch
 // runs a truncated Dijkstra per distinct endpoint (exact, intended for the
 // moderate sizes used by tests).

@@ -7,6 +7,10 @@
 //   3. output Ĝ = Ĝ' ∪ F  (Fact 5.6: F's edges have stretch 1).
 // Guarantees: |E(Ĝ)| <= n - 1 + m (c_LS log³n/β)^λ and total stretch
 // <= m β² log^{3λ+3} n; O~(m) work and polylog depth.
+//
+// Edge weights are *lengths* (Section 2's convention).  A Laplacian's
+// weights are conductances; pass their resistances 1/w, as
+// incremental_sparsify does, so stretch is w_e · Σ_path 1/w_f.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,11 @@
 // subgraph (the theory's κ = Θ(S log n / edge budget) relation from
 // Lemma 6.2); §6.3's geometrically growing κ_i schedule is available via
 // kappa_growth.
+//
+// Edge weights in a chain (A_i, B_i) are conductances, the Laplacian's
+// off-diagonal magnitudes.  incremental_sparsify converts them to
+// resistance lengths once for the LSST code; avg_stretch is therefore the
+// spectral stretch w_e · Σ_path 1/w_f.
 #pragma once
 
 #include <cstdint>

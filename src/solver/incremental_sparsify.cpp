@@ -18,9 +18,16 @@ SparsifyResult incremental_sparsify(std::uint32_t n, const EdgeList& edges,
   }
   SparsifyResult result;
 
+  // The LSST code measures paths in lengths; a Laplacian edge's length is
+  // its resistance 1/w, so every str(e) below is w_e · Σ_path 1/w_f, the
+  // spectral stretch.  The conductances stay in `edges` for H.
+  EdgeList lengths = tabulate<Edge>(edges.size(), [&](std::size_t i) {
+    return Edge{edges[i].u, edges[i].v, 1.0 / edges[i].w};
+  });
+
   LsSubgraphOptions sub_opts = opts.subgraph;
   sub_opts.seed = opts.seed;
-  LsSubgraphResult sub = ls_subgraph(n, edges, sub_opts);
+  LsSubgraphResult sub = ls_subgraph(n, lengths, sub_opts);
 
   std::vector<std::uint8_t> in_subgraph(edges.size(), 0);
   parallel_for(0, sub.subgraph_edges.size(), [&](std::size_t i) {
@@ -30,31 +37,30 @@ SparsifyResult incremental_sparsify(std::uint32_t n, const EdgeList& edges,
   // Stretch upper bound via a spanning tree of Ĝ (distances in a subgraph
   // are bounded by distances in any of its spanning trees, so sampling with
   // tree stretch only oversamples — which is safe).
-  EdgeList sub_edges = tabulate<Edge>(
+  EdgeList sub_lengths = tabulate<Edge>(
       sub.subgraph_edges.size(),
-      [&](std::size_t i) { return edges[sub.subgraph_edges[i]]; });
-  std::vector<std::uint32_t> tree_idx = mst_kruskal(n, sub_edges);
+      [&](std::size_t i) { return lengths[sub.subgraph_edges[i]]; });
+  std::vector<std::uint32_t> tree_idx = mst_kruskal(n, sub_lengths);
   if (tree_idx.size() + 1 != n) {
     throw std::invalid_argument("incremental_sparsify: graph not connected");
   }
   EdgeList tree_edges;
   tree_edges.reserve(tree_idx.size());
-  for (std::uint32_t idx : tree_idx) tree_edges.push_back(sub_edges[idx]);
+  for (std::uint32_t idx : tree_idx) tree_edges.push_back(sub_lengths[idx]);
   RootedTree tree = RootedTree::from_edges(n, tree_edges, 0);
-  StretchStats st = stretch_wrt_tree(edges, tree);
+  StretchStats st = stretch_wrt_tree(lengths, tree);
 
   if (opts.include_mst) {
-    // The AKPW construction optimizes hop-radius per weight class; on
-    // high-contrast weights its BFS trees can route light cut edges through
-    // heavy edges, stretching them by the contrast (measured in E3c/E8a).
-    // The MST is nearly stretch-1 on exactly those instances, so compare
-    // the measured (tree-proxy) stretches and keep the better subgraph.
-    std::vector<std::uint32_t> mst_idx = mst_kruskal(n, edges);
+    // The maximum-conductance spanning tree (the MST in resistance lengths)
+    // is nearly stretch-1 on high-contrast weights, where AKPW's average
+    // bound is loose; compare the measured (tree-proxy) stretches and keep
+    // the lower-stretch subgraph.
+    std::vector<std::uint32_t> mst_idx = mst_kruskal(n, lengths);
     EdgeList mst_edges;
     mst_edges.reserve(mst_idx.size());
-    for (std::uint32_t idx : mst_idx) mst_edges.push_back(edges[idx]);
+    for (std::uint32_t idx : mst_idx) mst_edges.push_back(lengths[idx]);
     RootedTree mst_tree = RootedTree::from_edges(n, mst_edges, 0);
-    StretchStats st_mst = stretch_wrt_tree(edges, mst_tree);
+    StretchStats st_mst = stretch_wrt_tree(lengths, mst_tree);
     if (st_mst.total < st.total) {
       st = std::move(st_mst);
       in_subgraph.assign(edges.size(), 0);

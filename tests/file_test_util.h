@@ -55,7 +55,10 @@ inline void write_bytes(const std::string& path,
                         const std::vector<std::uint8_t>& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!data.empty()) {
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  }
   std::fclose(f);
 }
 

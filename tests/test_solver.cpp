@@ -5,6 +5,9 @@
 #include <limits>
 
 #include "graph/generators.h"
+#include "graph/mst.h"
+#include "graph/stretch.h"
+#include "graph/tree.h"
 #include "kernels/kernels.h"
 #include "linalg/dense_ldlt.h"
 #include "linalg/eig.h"
@@ -16,6 +19,43 @@
 
 namespace parsdd {
 namespace {
+
+// A Laplacian edge's length is its resistance 1/w.
+EdgeList resistance_lengths(const EdgeList& edges) {
+  EdgeList out = edges;
+  for (Edge& e : out) e.w = 1.0 / e.w;
+  return out;
+}
+
+// Total stretch of G (conductances) over the shortest-length spanning tree
+// of `sub` (conductances), both measured in resistance lengths.
+double resistance_stretch_over_tree_of(std::uint32_t n, const EdgeList& g,
+                                       const EdgeList& sub) {
+  EdgeList sub_len = resistance_lengths(sub);
+  EdgeList tree_edges;
+  for (std::uint32_t idx : mst_kruskal(n, sub_len)) {
+    tree_edges.push_back(sub_len[idx]);
+  }
+  EXPECT_EQ(tree_edges.size() + 1, n);
+  RootedTree tree = RootedTree::from_edges(n, tree_edges, 0);
+  return stretch_wrt_tree(resistance_lengths(g), tree).total;
+}
+
+// Outer iterations of the default chain solve to 1e-8, capped at
+// `max_iterations`; fails the test if the solve does not converge.
+std::uint32_t chain_iterations(const GeneratedGraph& g,
+                               std::uint32_t max_iterations) {
+  SddSolverOptions opts;
+  opts.tolerance = 1e-8;
+  opts.max_iterations = max_iterations;
+  SddSolver solver = SddSolver::for_laplacian(g.n, g.edges, opts);
+  SddSolveReport report;
+  EXPECT_TRUE(solver.solve(random_unit_like(g.n, 7), &report).ok());
+  EXPECT_TRUE(report.stats.converged)
+      << "relative residual " << report.stats.relative_residual << " after "
+      << report.stats.iterations << " iterations";
+  return report.stats.iterations;
+}
 
 TEST(IncrementalSparsify, OutputConnectedAndBounded) {
   GeneratedGraph g = grid2d(18, 18);
@@ -64,8 +104,9 @@ TEST(IncrementalSparsify, SpectralSandwichOnSmallGraph) {
 }
 
 TEST(IncrementalSparsify, MstComparisonPicksLowerStretchTree) {
-  // Two-level contrast: the MST (stretch ~1.5) must beat the AKPW subgraph
-  // (stretch ~100+), so total_stretch reported is the MST's.
+  // Two-level contrast, resistance metric: the maximum-conductance tree
+  // (average stretch ~1.2) beats the best spanning tree of the AKPW
+  // subgraph (~160), so total_stretch reported is the MST's.
   GeneratedGraph g = grid2d(20, 20);
   randomize_weights_two_level(g.edges, 1e4, 21);
   SparsifyOptions with, without;
@@ -76,6 +117,30 @@ TEST(IncrementalSparsify, MstComparisonPicksLowerStretchTree) {
   auto r_without = incremental_sparsify(g.n, g.edges, without);
   EXPECT_LE(r_with.total_stretch, r_without.total_stretch);
   EXPECT_LT(r_with.total_stretch / g.edges.size(), 10.0);
+}
+
+// Ĝ must be low-stretch in the resistance metric str(e) = w_e·Σ_path 1/w_f:
+// its best spanning tree stretches G no more than the maximum-conductance
+// spanning tree does.  Built with conductances read as lengths, Ĝ favours
+// light edges and loses by five orders of magnitude (1.6e8 against 2.4e3
+// on the two-level grid).
+TEST(IncrementalSparsify, SubgraphStretchAtMostMaxConductanceTree) {
+  for (int weighting : {0, 1}) {
+    GeneratedGraph g = grid2d(32, 32);
+    if (weighting == 0) {
+      randomize_weights_two_level(g.edges, 1e4, 21);
+    } else {
+      randomize_weights_log_uniform(g.edges, 1e6, 3);
+    }
+    SparsifyOptions opts;
+    opts.kappa = 1e300;
+    opts.p_floor = 0.0;
+    SparsifyResult r = incremental_sparsify(g.n, g.edges, opts);
+    double subgraph = resistance_stretch_over_tree_of(g.n, g.edges, r.h_edges);
+    double max_conductance_tree =
+        resistance_stretch_over_tree_of(g.n, g.edges, g.edges);
+    EXPECT_LE(subgraph, max_conductance_tree) << "weighting=" << weighting;
+  }
 }
 
 TEST(IncrementalSparsify, MstComparisonKeepsAkpwOnUnitGrids) {
@@ -365,6 +430,28 @@ INSTANTIATE_TEST_SUITE_P(Methods, SddMethods,
                                            SolveMethod::kChainRpch,
                                            SolveMethod::kCg,
                                            SolveMethod::kJacobiPcg));
+
+// Chain iterations must not grow with weight contrast: on a 48² grid the
+// default chain stays within 2× of the unit-weight grid's count.  A
+// low-stretch subgraph built in the wrong metric (conductance as length)
+// takes thousands of iterations here and does not converge at all at high
+// contrast.
+TEST(SddSolver, TwoLevelContrastCostsAtMostTwiceUnitIterations) {
+  std::uint32_t unit = chain_iterations(grid2d(48, 48), 5000);
+  GeneratedGraph g = grid2d(48, 48);
+  randomize_weights_two_level(g.edges, 1e4, 21);
+  EXPECT_LE(chain_iterations(g, 20 * unit), 2 * unit) << "unit=" << unit;
+}
+
+TEST(SddSolver, WeightContrastSweepCostsAtMostTwiceUnitIterations) {
+  std::uint32_t unit = chain_iterations(grid2d(48, 48), 5000);
+  for (double spread : {1e2, 1e4, 1e6, 1e8}) {
+    GeneratedGraph g = grid2d(48, 48);
+    randomize_weights_log_uniform(g.edges, spread, 3);
+    EXPECT_LE(chain_iterations(g, 20 * unit), 2 * unit)
+        << "spread=" << spread << " unit=" << unit;
+  }
+}
 
 TEST(SddSolver, ReportFieldsPopulated) {
   GeneratedGraph g = grid2d(16, 16);
