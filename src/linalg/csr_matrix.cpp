@@ -1,6 +1,7 @@
 #include "linalg/csr_matrix.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -11,50 +12,59 @@
 namespace parsdd {
 
 CsrMatrix CsrMatrix::from_triplets(std::uint32_t n, std::vector<Triplet> ts) {
-  parallel_sort(ts, [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
-  // Merge duplicates via head flags + scan: each run of equal (row, col)
-  // keys is folded left-to-right by the thread owning its head, so the sums
-  // match the old sequential merge exactly and no two threads touch the
-  // same output slot.
-  std::size_t m = ts.size();
-  std::vector<std::uint32_t> heads(m);
+  // Counting build, the scatter-then-canonicalize pattern of
+  // Graph::from_edges: count triplets per row, scan the counts into row
+  // starts, and scatter triplet indices with atomic cursors.  The scatter
+  // order depends on scheduling, so each row's slice is then sorted by
+  // (col, input index) and each run of equal columns folded left to right:
+  // duplicates are summed in input order at any pool size.
+  const std::size_t m = ts.size();
+  std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
   parallel_for(0, m, [&](std::size_t i) {
     assert(ts[i].row < n && ts[i].col < n);
-    heads[i] = (i == 0 || ts[i].row != ts[i - 1].row ||
-                ts[i].col != ts[i - 1].col)
-                   ? 1u
-                   : 0u;
+    std::atomic_ref<std::size_t>(start[ts[i].row])
+        .fetch_add(1, std::memory_order_relaxed);
   });
-  std::vector<std::uint32_t> pos = heads;
-  std::uint32_t w = scan_exclusive(pos);
-  std::vector<Triplet> merged(w);
+  scan_exclusive(start);  // start[n] == m
+  std::vector<std::size_t> cursor = start;
+  std::vector<std::size_t> order(m);
   parallel_for(0, m, [&](std::size_t i) {
-    if (!heads[i]) return;
-    Triplet t = ts[i];
-    for (std::size_t j = i + 1; j < m && !heads[j]; ++j) t.value += ts[j].value;
-    merged[pos[i]] = t;
+    std::size_t p = std::atomic_ref<std::size_t>(cursor[ts[i].row])
+                        .fetch_add(1, std::memory_order_relaxed);
+    order[p] = i;
   });
 
+  // Canonicalize each row and count its distinct columns; the second scan
+  // turns the counts into the compacted offsets.
   CsrMatrix a;
   a.n_ = n;
-  a.off_.assign(n + 1, 0);
-  // Row offsets by binary search in the sorted merged triplets: off_[r] is
-  // the first entry with row >= r.
-  parallel_for(0, static_cast<std::size_t>(n) + 1, [&](std::size_t r) {
-    a.off_[r] = static_cast<std::size_t>(
-        std::lower_bound(merged.begin(), merged.end(), r,
-                         [](const Triplet& t, std::size_t row) {
-                           return t.row < row;
-                         }) -
-        merged.begin());
+  a.off_.assign(static_cast<std::size_t>(n) + 1, 0);
+  parallel_for(0, n, [&](std::size_t r) {
+    auto b = order.begin() + start[r], e = order.begin() + start[r + 1];
+    std::sort(b, e, [&](std::size_t x, std::size_t y) {
+      return ts[x].col != ts[y].col ? ts[x].col < ts[y].col : x < y;
+    });
+    std::size_t distinct = 0;
+    for (auto it = b; it != e; ++it) {
+      if (it == b || ts[*it].col != ts[*(it - 1)].col) ++distinct;
+    }
+    a.off_[r] = distinct;
   });
-  a.col_.resize(merged.size());
-  a.val_.resize(merged.size());
-  parallel_for(0, merged.size(), [&](std::size_t i) {
-    a.col_[i] = merged[i].col;
-    a.val_[i] = merged[i].value;
+  std::size_t nnz = scan_exclusive(a.off_);
+  a.col_.resize(nnz);
+  a.val_.resize(nnz);
+  parallel_for(0, n, [&](std::size_t r) {
+    std::size_t k = a.off_[r];
+    for (std::size_t p = start[r]; p < start[r + 1]; ++p) {
+      const Triplet& t = ts[order[p]];
+      if (p > start[r] && t.col == a.col_[k - 1]) {
+        a.val_[k - 1] += t.value;
+      } else {
+        a.col_[k] = t.col;
+        a.val_[k] = t.value;
+        ++k;
+      }
+    }
   });
   return a;
 }

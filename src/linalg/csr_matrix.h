@@ -17,15 +17,17 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// A square sparse matrix; both triangles stored.  Construction sorts and
-/// merges duplicate coordinates.
+/// A square sparse matrix; both triangles stored.  Each row lists its
+/// columns in increasing order, one entry per distinct coordinate.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Builds from coordinate triplets (duplicates summed).  The caller is
-  /// responsible for supplying a symmetric pattern when symmetry is assumed
-  /// (Laplacian/SDD helpers do this).
+  /// Builds from coordinate triplets by a counting build: O(m) work plus a
+  /// sort of each row's own entries.  Duplicate coordinates are summed in
+  /// input order (a left fold starting from the first), at any pool size.
+  /// The caller is responsible for supplying a symmetric pattern when
+  /// symmetry is assumed (Laplacian/SDD helpers do this).
   static CsrMatrix from_triplets(std::uint32_t n, std::vector<Triplet> ts);
 
   std::uint32_t dimension() const { return n_; }

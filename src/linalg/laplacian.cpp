@@ -10,15 +10,17 @@
 namespace parsdd {
 
 CsrMatrix laplacian_from_edges(std::uint32_t n, const EdgeList& edges) {
-  std::vector<Triplet> ts;
-  ts.reserve(4 * edges.size());
-  for (const Edge& e : edges) {
+  // Triplets in edge order, so from_triplets sums each diagonal entry and
+  // each group of parallel edges in edge-input order.
+  std::vector<Triplet> ts(4 * edges.size());
+  parallel_for(0, edges.size(), [&](std::size_t i) {
+    const Edge& e = edges[i];
     assert(e.u != e.v && e.w > 0.0);
-    ts.push_back(Triplet{e.u, e.v, -e.w});
-    ts.push_back(Triplet{e.v, e.u, -e.w});
-    ts.push_back(Triplet{e.u, e.u, e.w});
-    ts.push_back(Triplet{e.v, e.v, e.w});
-  }
+    ts[4 * i] = Triplet{e.u, e.v, -e.w};
+    ts[4 * i + 1] = Triplet{e.v, e.u, -e.w};
+    ts[4 * i + 2] = Triplet{e.u, e.u, e.w};
+    ts[4 * i + 3] = Triplet{e.v, e.v, e.w};
+  });
   return CsrMatrix::from_triplets(n, std::move(ts));
 }
 

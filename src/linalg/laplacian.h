@@ -13,7 +13,9 @@
 
 namespace parsdd {
 
-/// Laplacian of (V=[0,n), edges).
+/// Laplacian of (V=[0,n), edges).  Parallel edges merge; every entry,
+/// diagonal included, sums its edges' weights in edge-input order, so the
+/// bits are a function of the edge list alone.
 CsrMatrix laplacian_from_edges(std::uint32_t n, const EdgeList& edges);
 
 /// Laplacian of a CSR graph.

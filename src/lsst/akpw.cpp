@@ -35,6 +35,10 @@ std::vector<std::uint32_t> weight_classes(const EdgeList& edges, double z,
   const double log_z = std::log(z);
   parallel_for(0, edges.size(), [&](std::size_t i) {
     double ratio = edges[i].w / wmin;
+    // A length that overflowed (1/w of a subnormal conductance) makes the
+    // ratio +inf, or NaN if every length did; the top finite class holds it,
+    // so the cast below always sees a finite value.
+    if (!std::isfinite(ratio)) ratio = std::numeric_limits<double>::max();
     // Class i (0-based) holds weights in [z^i, z^{i+1}).
     std::int64_t c =
         static_cast<std::int64_t>(std::floor(std::log(ratio) / log_z));

@@ -93,13 +93,19 @@ T parallel_reduce(GranularitySite& site, std::size_t lo, std::size_t hi,
     return acc;
   }
   std::size_t g = grain ? grain : kDefaultGrain;
-  std::vector<T> partial(nb, identity);
+  // One whole object per block: the wrapper keeps T = bool out of
+  // std::vector<bool>, whose packed bits would make concurrent blocks
+  // read-modify-write a shared word.
+  struct Slot {
+    T value;
+  };
+  std::vector<Slot> partial(nb, Slot{identity});
   auto block_fold = [&](std::size_t b) {
     std::size_t s = lo + b * g;
     std::size_t e = std::min(hi, s + g);
     T acc = identity;
     for (std::size_t i = s; i < e; ++i) acc = combine(acc, map(i));
-    partial[b] = acc;
+    partial[b].value = acc;
   };
   if (site.should_parallelize(work)) {
     ThreadPool::instance().run_blocks(nb, block_fold);
@@ -108,7 +114,7 @@ T parallel_reduce(GranularitySite& site, std::size_t lo, std::size_t hi,
     for (std::size_t b = 0; b < nb; ++b) block_fold(b);
   }
   T acc = identity;
-  for (std::size_t b = 0; b < nb; ++b) acc = combine(acc, partial[b]);
+  for (std::size_t b = 0; b < nb; ++b) acc = combine(acc, partial[b].value);
   return acc;
 }
 

@@ -36,6 +36,26 @@ struct ComponentSetup {
   bool chain_stale = false;
 };
 
+// Builds a component's solver state from its local edges: the outer
+// Laplacian and, for the chain methods, a fresh chain and its recursive
+// solver.  Chain level 0 is the Laplacian of these same edges, so the outer
+// operator is a copy of it rather than a second assembly.
+void build_component(ComponentSetup& cs, const SddSolverOptions& opts) {
+  std::uint32_t cn = static_cast<std::uint32_t>(cs.vertices.size());
+  cs.chain.reset();
+  cs.recursive.reset();
+  cs.chain_stale = false;
+  if (opts.method == SolveMethod::kChainPcg ||
+      opts.method == SolveMethod::kChainRpch) {
+    cs.chain = std::make_shared<const SolverChain>(
+        build_chain(cn, cs.local_edges, opts.chain));
+    cs.recursive = std::make_shared<RecursiveSolver>(*cs.chain, opts.recursion);
+    cs.laplacian = cs.chain->levels.front().laplacian;
+  } else {
+    cs.laplacian = laplacian_from_edges(cn, cs.local_edges);
+  }
+}
+
 }  // namespace
 
 struct SolverSetup::Impl {
@@ -110,16 +130,8 @@ void SolverSetup::Impl::build(std::uint32_t num_vertices,
     }
   }
   for (auto& cs : components) {
-    std::uint32_t cn = static_cast<std::uint32_t>(cs.vertices.size());
-    if (cn < 2) continue;  // isolated vertex: solution 0
-    cs.laplacian = laplacian_from_edges(cn, cs.local_edges);
-    if (opts.method == SolveMethod::kChainPcg ||
-        opts.method == SolveMethod::kChainRpch) {
-      cs.chain = std::make_shared<const SolverChain>(
-          build_chain(cn, cs.local_edges, opts.chain));
-      cs.recursive =
-          std::make_shared<RecursiveSolver>(*cs.chain, opts.recursion);
-    }
+    if (cs.vertices.size() < 2) continue;  // isolated vertex: solution 0
+    build_component(cs, opts);
   }
 }
 
@@ -148,11 +160,10 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
         cs.recursive ? cs.recursive->bottom_visits() : 0;
     switch (opts.method) {
       // Both chain drivers take cs.laplacian as the outer operator.  For a
-      // pristine setup it is byte-identical to the chain's own level-0
-      // matrix (both laplacian_from_edges of the same edges), so the
-      // arithmetic — and the bitwise-determinism contract — is unchanged;
-      // after a stale-chain update it is the *current* Laplacian, so
-      // convergence is always measured against the updated system.
+      // freshly built chain it is a copy of the chain's level-0 matrix
+      // (build_component), so the outer and level-0 arithmetic agree bit
+      // for bit; after a stale-chain update it is the *current* Laplacian,
+      // so convergence is always measured against the updated system.
       case SolveMethod::kChainPcg: {
         RecursiveSolver::Workspace ws = cs.recursive->make_workspace();
         st = cs.recursive->solve_batch(cb, cx, opts.tolerance,
@@ -509,26 +520,17 @@ StatusOr<SolverSetup> SolverSetup::update(const std::vector<EdgeDelta>& deltas,
       nc.recursive = cs.recursive;  // shared: stateless across solves
       nc.chain_stale = cs.chain_stale;
       if (!plan->local[c].empty()) {
-        std::uint32_t cn = static_cast<std::uint32_t>(nc.vertices.size());
         apply_deltas(nc.local_edges, plan->local[c], rep);
         // The outer CG solves against the current weights either way.
-        nc.laplacian = laplacian_from_edges(cn, nc.local_edges);
         if (plan->structural[c]) {
           // Component rebuild: a fresh chain for the new structure.
-          nc.chain.reset();
-          nc.recursive.reset();
-          nc.chain_stale = false;
-          if (impl_->opts.method == SolveMethod::kChainPcg ||
-              impl_->opts.method == SolveMethod::kChainRpch) {
-            nc.chain = std::make_shared<const SolverChain>(
-                build_chain(cn, nc.local_edges, impl_->opts.chain));
-            nc.recursive = std::make_shared<RecursiveSolver>(
-                *nc.chain, impl_->opts.recursion);
-          }
+          build_component(nc, impl_->opts);
           ++rep.components_rebuilt;
-        } else if (nc.chain) {
+        } else {
+          nc.laplacian = laplacian_from_edges(
+              static_cast<std::uint32_t>(nc.vertices.size()), nc.local_edges);
           // Stale-chain tier: keep preconditioning with the old chain.
-          nc.chain_stale = true;
+          if (nc.chain) nc.chain_stale = true;
         }
       } else {
         ++rep.components_shared;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "graph/generators.h"
 #include "kernels/kernels.h"
@@ -45,6 +47,60 @@ TEST(CsrMatrix, FromTripletsMergesDuplicates) {
   Vec y = a.apply({1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 7.0);
   EXPECT_DOUBLE_EQ(y[1], 8.0);
+}
+
+// The entry at (row, col) of a built matrix, or NaN if it is not stored.
+double stored(const CsrMatrix& a, std::uint32_t row, std::uint32_t col) {
+  auto cols = a.row_cols(row);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    if (cols[k] == col) return a.row_vals(row)[k];
+  }
+  return std::nan("");
+}
+
+// Floating-point addition is not associative, so only one summation order
+// reproduces these sums: 1e16 + 1 rounds back to 1e16, so the fold
+// (1e16 + 1) - 1e16 gives 0, while (1e16 - 1e16) + 1 gives 1.
+TEST(CsrMatrix, FromTripletsSumsDuplicatesInInputOrder) {
+  std::vector<Triplet> ts = {{0, 0, 1e16}, {1, 1, 1e16},  {0, 0, 1.0},
+                             {1, 1, -1e16}, {0, 0, -1e16}, {1, 1, 1.0}};
+  CsrMatrix a = CsrMatrix::from_triplets(2, std::move(ts));
+  ASSERT_EQ(a.num_nonzeros(), 2u);
+  EXPECT_EQ(stored(a, 0, 0), 0.0);
+  EXPECT_EQ(stored(a, 1, 1), 1.0);
+}
+
+// The same contract on an input large enough to span many scheduling
+// blocks: every coordinate equals a plain loop summing in input order.
+TEST(CsrMatrix, FromTripletsMatchesInputOrderLoopOnLargeInput) {
+  const std::uint32_t n = 300;
+  const std::size_t m = 20000;
+  Rng rng(11);
+  std::vector<Triplet> ts(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    // Few distinct coordinates per row, so most triplets are duplicates;
+    // magnitudes spread over 32 binades so the order shows in the bits.
+    ts[i].row = static_cast<std::uint32_t>(rng.below(3 * i, n));
+    ts[i].col = static_cast<std::uint32_t>(rng.below(3 * i + 1, 8));
+    ts[i].value = std::ldexp(rng.uniform(3 * i + 2) - 0.5,
+                             static_cast<int>(rng.below(3 * i + 2, 32)));
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> ref;
+  for (const Triplet& t : ts) {
+    auto [it, fresh] = ref.emplace(std::pair{t.row, t.col}, t.value);
+    if (!fresh) it->second += t.value;
+  }
+  CsrMatrix a = CsrMatrix::from_triplets(n, ts);
+  ASSERT_EQ(a.num_nonzeros(), ref.size());
+  auto it = ref.begin();
+  for (std::uint32_t r = 0; r < n; ++r) {
+    auto cols = a.row_cols(r);
+    auto vals = a.row_vals(r);
+    for (std::size_t k = 0; k < cols.size(); ++k, ++it) {
+      EXPECT_EQ(it->first, std::pair(r, cols[k]));
+      EXPECT_EQ(it->second, vals[k]) << "row " << r << " col " << cols[k];
+    }
+  }
 }
 
 TEST(CsrMatrix, MultiplyMatchesDense) {
@@ -113,6 +169,51 @@ TEST(Laplacian, AssemblyAndRoundTrip) {
   ASSERT_EQ(back.size(), 2u);
   EXPECT_DOUBLE_EQ(back[0].w, 2.0);
   EXPECT_DOUBLE_EQ(back[1].w, 3.0);
+}
+
+// A multigraph's Laplacian equals, bit for bit, a plain loop over the edges
+// in input order, with parallel edges merged; each row lists its columns in
+// strictly increasing order and stores the diagonal.
+TEST(Laplacian, MultigraphMatchesEdgeOrderLoop) {
+  const std::uint32_t n = 200;
+  const std::size_t m = 3000;
+  Rng rng(5);
+  EdgeList edges;
+  for (std::size_t i = 0; edges.size() < m; ++i) {
+    // Endpoints from a small window, so many edges are parallel.
+    std::uint32_t u = static_cast<std::uint32_t>(rng.below(3 * i, n));
+    std::uint32_t v = (u + 1 + static_cast<std::uint32_t>(
+                                   rng.below(3 * i + 1, 4))) % n;
+    edges.push_back(Edge{u, v, std::exp(20.0 * rng.uniform(3 * i + 2))});
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, double> ref;
+  auto add = [&](std::uint32_t r, std::uint32_t c, double w) {
+    auto [it, fresh] = ref.emplace(std::pair{r, c}, w);
+    if (!fresh) it->second += w;
+  };
+  for (const Edge& e : edges) {
+    add(e.u, e.v, -e.w);
+    add(e.v, e.u, -e.w);
+    add(e.u, e.u, e.w);
+    add(e.v, e.v, e.w);
+  }
+  CsrMatrix lap = laplacian_from_edges(n, edges);
+  ASSERT_EQ(lap.num_nonzeros(), ref.size());
+  auto it = ref.begin();
+  for (std::uint32_t r = 0; r < n; ++r) {
+    auto cols = lap.row_cols(r);
+    auto vals = lap.row_vals(r);
+    bool has_diagonal = false;
+    for (std::size_t k = 0; k < cols.size(); ++k, ++it) {
+      if (k > 0) {
+        EXPECT_LT(cols[k - 1], cols[k]) << "row " << r;
+      }
+      has_diagonal |= cols[k] == r;
+      EXPECT_EQ(it->first, std::pair(r, cols[k]));
+      EXPECT_EQ(it->second, vals[k]) << "row " << r << " col " << cols[k];
+    }
+    EXPECT_TRUE(has_diagonal) << "row " << r;
+  }
 }
 
 TEST(Laplacian, QuadraticFormMatchesEdgeFormula) {

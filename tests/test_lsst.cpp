@@ -1,6 +1,8 @@
 // AKPW trees, SparseAKPW subgraphs, well-spacing, LSSubgraph (Section 5).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "graph/connectivity.h"
@@ -48,6 +50,23 @@ TEST(WeightClasses, NormalizesMinimumWeight) {
   EXPECT_EQ(cls[0], 0u);
   EXPECT_EQ(cls[1], 0u);
   EXPECT_EQ(cls[2], 1u);
+}
+
+// An edge length that overflowed to +inf (1/w of a subnormal conductance)
+// gets the top finite class: at or above every finite length's class and
+// bounded by log_z of the largest double.
+TEST(WeightClasses, InfiniteLengthGetsFiniteBoundedClass) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EdgeList e = {{0, 1, 1.0}, {0, 1, inf}, {0, 1, 16.0}, {0, 1, 1e300}};
+  std::uint32_t k = 0;
+  auto cls = weight_classes(e, 4.0, &k);
+  const double bound =
+      std::log(std::numeric_limits<double>::max()) / std::log(4.0);
+  EXPECT_EQ(cls[0], 0u);
+  EXPECT_EQ(cls[2], 2u);
+  EXPECT_GE(cls[1], cls[3]);
+  EXPECT_LE(cls[1], bound);
+  EXPECT_EQ(k, cls[1] + 1);
 }
 
 TEST(WeightClasses, RejectsNonPositive) {

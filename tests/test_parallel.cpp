@@ -122,6 +122,26 @@ TEST(ParallelReduce, MaxAndEmptyIdentity) {
   EXPECT_EQ(mx, -1.0);
 }
 
+// A bool reduction over many blocks: each block's partial result must land
+// in its own slot.  Packed bit storage (std::vector<bool>) would make
+// neighbouring blocks read-modify-write one word, a data race that can
+// overwrite one block's false with a stale true.
+TEST(ParallelReduce, BoolConjunctionKeepsEveryBlocksResult) {
+  // Enough blocks that pool workers join before the caller drains them.
+  constexpr std::size_t kBlocks = 512;
+  constexpr std::size_t n = kBlocks * kDefaultGrain;
+  std::vector<std::uint8_t> ok(n, 1);
+  for (std::size_t k = 0; k < kBlocks; k += 73) {
+    std::size_t bad = k * kDefaultGrain + 7;
+    ok[bad] = 0;
+    bool all = parallel_reduce(
+        0, n, true, [&](std::size_t i) { return ok[i] != 0; },
+        [](bool a, bool b) { return a && b; });
+    ok[bad] = 1;
+    EXPECT_FALSE(all) << "block " << k;
+  }
+}
+
 class ScanTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ScanTest, MatchesSequentialExclusiveScan) {

@@ -453,6 +453,26 @@ TEST(SddSolver, WeightContrastSweepCostsAtMostTwiceUnitIterations) {
   }
 }
 
+// A subnormal conductance has a resistance length 1/w that overflows to
+// +inf inside the low-stretch subgraph build; setup must still classify it
+// and the solve converge.
+TEST(SddSolver, SubnormalConductanceEdgeSolvesToTolerance) {
+  GeneratedGraph g = grid2d(8, 8);
+  g.edges[5].w = 1e-320;
+  ASSERT_TRUE(std::isinf(1.0 / g.edges[5].w));
+  SddSolverOptions opts;
+  opts.tolerance = 1e-8;
+  SddSolver solver = SddSolver::for_laplacian(g.n, g.edges, opts);
+  Vec b = random_unit_like(g.n, 18);
+  SddSolveReport report;
+  Vec x = solver.solve(b, &report).value();
+  EXPECT_TRUE(report.stats.converged);
+  CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
+  EXPECT_LT(kernels::norm2(kernels::subtract(lap.apply(x), b)) /
+                kernels::norm2(b),
+            1e-6);
+}
+
 TEST(SddSolver, ReportFieldsPopulated) {
   GeneratedGraph g = grid2d(16, 16);
   SddSolver solver = SddSolver::for_laplacian(g.n, g.edges);
