@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <tuple>
 
@@ -18,74 +17,52 @@ struct CsrParts {
   std::vector<std::uint32_t> eid;
 };
 
-// Shared CSR construction: counts arc degrees, scans, scatters both arc
-// directions.  `get(i)` returns (u, v, w, eid) for edge i.
+// Shared CSR construction: counts arc degrees, scans, scatters one arc code
+// `(edge << 1) | side` per arc, canonicalizes each slice, then fills the
+// arrays from the codes.  `get(i)` returns (u, v, w) for edge i; side 0 is
+// u's arc to v, side 1 is v's arc to u.
 template <typename GetEdge>
-CsrParts build_csr(std::uint32_t n, std::size_t m, bool track_eids,
-                   GetEdge&& get) {
-  std::vector<std::atomic<std::size_t>> counts(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    counts[i].store(0, std::memory_order_relaxed);
-  });
-  parallel_for(0, m, [&](std::size_t i) {
-    auto [u, v, w, id] = get(i);
-    (void)w;
-    (void)id;
-    counts[u].fetch_add(1, std::memory_order_relaxed);
-    counts[v].fetch_add(1, std::memory_order_relaxed);
-  });
-  std::vector<std::size_t> scanned(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    scanned[i] = counts[i].load(std::memory_order_relaxed);
-  });
-  std::size_t total = scan_exclusive(scanned);
-  assert(total == 2 * m);
-  std::vector<std::size_t> off(n + 1);
-  parallel_for(0, n, [&](std::size_t i) { off[i] = scanned[i]; });
-  off[n] = total;
-
-  std::vector<std::atomic<std::size_t>> cursor(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    cursor[i].store(off[i], std::memory_order_relaxed);
-  });
+CsrParts build_csr(std::uint32_t n, std::size_t m, GetEdge&& get) {
+  static GranularitySite site("graph.csr_scatter", /*init_ns_per_unit=*/4.0);
   CsrParts parts;
-  parts.off = std::move(off);
+  parts.off.assign(n + 1, 0);
+  parallel_for_bump(site, 0, m, [&](std::size_t i, auto&& bump) {
+    auto [u, v, w] = get(i);
+    (void)w;
+    bump(parts.off[u]);
+    bump(parts.off[v]);
+  });
+  std::size_t total = scan_exclusive(parts.off);
+  assert(total == 2 * m);
+
+  std::vector<std::size_t> cursor(parts.off.begin(), parts.off.end() - 1);
+  std::vector<std::uint64_t> code(total);
+  parallel_for_bump(site, 0, m, [&](std::size_t i, auto&& bump) {
+    auto [u, v, w] = get(i);
+    (void)w;
+    std::uint64_t c = static_cast<std::uint64_t>(i) << 1;
+    code[bump(cursor[u])] = c;
+    code[bump(cursor[v])] = c | 1;
+  });
+
+  // On the pool the scatter lands arcs in scheduling-dependent order, and
+  // adjacency order is observable (BFS claim keys, neighbor iteration in
+  // ball growing), so canonicalize each vertex's slice: sorting the codes —
+  // edge-major, so unique within a slice — reproduces exactly the order a
+  // sequential scatter in input order would have produced, at any pool size.
+  parallel_for(0, n, [&](std::size_t v) {
+    auto s = code.begin() + parts.off[v], e = code.begin() + parts.off[v + 1];
+    if (!std::is_sorted(s, e)) std::sort(s, e);
+  });
   parts.adj.resize(total);
   parts.wgt.resize(total);
-  if (track_eids) parts.eid.resize(total);
-  parallel_for(0, m, [&](std::size_t i) {
-    auto [u, v, w, id] = get(i);
-    std::size_t pu = cursor[u].fetch_add(1, std::memory_order_relaxed);
-    parts.adj[pu] = v;
-    parts.wgt[pu] = w;
-    if (track_eids) parts.eid[pu] = id;
-    std::size_t pv = cursor[v].fetch_add(1, std::memory_order_relaxed);
-    parts.adj[pv] = u;
-    parts.wgt[pv] = w;
-    if (track_eids) parts.eid[pv] = id;
-  });
-
-  // The atomic-cursor scatter lands arcs in scheduling-dependent order, and
-  // adjacency order is observable (BFS claim keys, neighbor iteration in
-  // ball growing), so canonicalize each vertex's slice: sorting by eid —
-  // unique within a slice since each edge contributes one arc per distinct
-  // endpoint — reproduces exactly the order a sequential scatter in input
-  // order would have produced, at any pool size.
-  parallel_for(0, n, [&](std::size_t v) {
-    std::size_t s = parts.off[v], e = parts.off[v + 1];
-    if (e - s < 2) return;
-    std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> slice;
-    slice.reserve(e - s);
-    for (std::size_t i = s; i < e; ++i) {
-      slice.emplace_back(track_eids ? parts.eid[i] : parts.adj[i],
-                         parts.adj[i], parts.wgt[i]);
-    }
-    std::sort(slice.begin(), slice.end());
-    for (std::size_t i = s; i < e; ++i) {
-      if (track_eids) parts.eid[i] = std::get<0>(slice[i - s]);
-      parts.adj[i] = std::get<1>(slice[i - s]);
-      parts.wgt[i] = std::get<2>(slice[i - s]);
-    }
+  parts.eid.resize(total);
+  parallel_for(0, total, [&](std::size_t a) {
+    auto id = static_cast<std::uint32_t>(code[a] >> 1);
+    auto [u, v, w] = get(id);
+    parts.adj[a] = (code[a] & 1) ? u : v;
+    parts.wgt[a] = w;
+    parts.eid[a] = id;
   });
   return parts;
 }
@@ -93,12 +70,11 @@ CsrParts build_csr(std::uint32_t n, std::size_t m, bool track_eids,
 }  // namespace
 
 Graph Graph::from_edges(std::uint32_t n, const EdgeList& edges) {
-  CsrParts p =
-      build_csr(n, edges.size(), /*track_eids=*/true, [&](std::size_t i) {
-        const Edge& e = edges[i];
-        assert(e.u != e.v && e.u < n && e.v < n);
-        return std::tuple{e.u, e.v, e.w, static_cast<std::uint32_t>(i)};
-      });
+  CsrParts p = build_csr(n, edges.size(), [&](std::size_t i) {
+    const Edge& e = edges[i];
+    assert(e.u != e.v && e.u < n && e.v < n);
+    return std::tuple{e.u, e.v, e.w};
+  });
   Graph g;
   g.n_ = n;
   g.off_ = std::move(p.off);
@@ -110,12 +86,11 @@ Graph Graph::from_edges(std::uint32_t n, const EdgeList& edges) {
 
 Graph Graph::from_classed_edges(std::uint32_t n,
                                 const std::vector<ClassedEdge>& edges) {
-  CsrParts p =
-      build_csr(n, edges.size(), /*track_eids=*/true, [&](std::size_t i) {
-        const ClassedEdge& e = edges[i];
-        assert(e.u != e.v && e.u < n && e.v < n);
-        return std::tuple{e.u, e.v, 1.0, static_cast<std::uint32_t>(i)};
-      });
+  CsrParts p = build_csr(n, edges.size(), [&](std::size_t i) {
+    const ClassedEdge& e = edges[i];
+    assert(e.u != e.v && e.u < n && e.v < n);
+    return std::tuple{e.u, e.v, 1.0};
+  });
   Graph g;
   g.n_ = n;
   g.off_ = std::move(p.off);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -10,35 +12,33 @@
 
 namespace parsdd {
 
-std::vector<std::uint32_t> mst_kruskal(std::uint32_t n,
-                                       const EdgeList& edges) {
-  std::vector<std::uint32_t> order(edges.size());
-  std::iota(order.begin(), order.end(), 0u);
-  parallel_sort(order, [&](std::uint32_t a, std::uint32_t b) {
-    if (edges[a].w != edges[b].w) return edges[a].w < edges[b].w;
-    return a < b;
-  });
-  UnionFind uf(n);
-  std::vector<std::uint32_t> chosen;
-  chosen.reserve(n > 0 ? n - 1 : 0);
-  for (std::uint32_t idx : order) {
-    if (uf.unite(edges[idx].u, edges[idx].v)) chosen.push_back(idx);
-  }
-  return chosen;
+namespace {
+
+// Order-preserving bit pattern of a weight: unsigned comparison of keys is
+// `<` on weights.  -0.0 maps to +0.0's key (the two compare equal), +inf
+// sorts after every finite weight, and every NaN gets the largest key, after
+// +inf.
+std::uint64_t weight_key(double w) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  if (std::isnan(w)) return ~std::uint64_t{0};
+  if (w == 0.0) w = 0.0;
+  std::uint64_t b = std::bit_cast<std::uint64_t>(w);
+  return (b & kSign) ? ~b : (b | kSign);
 }
 
-namespace {
+// Edge indices sorted by (w, index): a stable radix sort of weight keys.
+std::vector<std::uint32_t> weight_order(const EdgeList& edges) {
+  std::vector<std::uint64_t> key(edges.size());
+  parallel_for(0, edges.size(),
+               [&](std::size_t i) { key[i] = weight_key(edges[i].w); });
+  return radix_sort_indices(key);
+}
 
 // Encodes (weight, edge index) into an order-preserving uint64 key for
 // atomic min hooking.  Weights are reduced to their rank in the sorted
 // order, so doubles never enter the atomic.
 std::vector<std::uint64_t> rank_keys(const EdgeList& edges) {
-  std::vector<std::uint32_t> order(edges.size());
-  std::iota(order.begin(), order.end(), 0u);
-  parallel_sort(order, [&](std::uint32_t a, std::uint32_t b) {
-    if (edges[a].w != edges[b].w) return edges[a].w < edges[b].w;
-    return a < b;
-  });
+  std::vector<std::uint32_t> order = weight_order(edges);
   std::vector<std::uint64_t> key(edges.size());
   parallel_for(0, order.size(), [&](std::size_t r) {
     key[order[r]] =
@@ -48,6 +48,19 @@ std::vector<std::uint64_t> rank_keys(const EdgeList& edges) {
 }
 
 }  // namespace
+
+std::vector<std::uint32_t> mst_kruskal(std::uint32_t n,
+                                       const EdgeList& edges) {
+  std::vector<std::uint32_t> order = weight_order(edges);
+  UnionFind uf(n);
+  std::vector<std::uint32_t> chosen;
+  chosen.reserve(n > 0 ? n - 1 : 0);
+  for (std::uint32_t idx : order) {
+    if (chosen.size() + 1 >= n) break;  // a spanning tree is complete
+    if (uf.unite(edges[idx].u, edges[idx].v)) chosen.push_back(idx);
+  }
+  return chosen;
+}
 
 std::vector<std::uint32_t> mst_boruvka(std::uint32_t n,
                                        const EdgeList& edges) {

@@ -16,7 +16,15 @@ namespace parsdd {
 class RootedTree {
  public:
   /// Builds a rooted tree over vertices [0, n) from exactly n-1 tree edges
-  /// (must form a spanning tree); roots it at `root` via BFS.
+  /// (must form a spanning tree); roots it at `root`.  The edges are
+  /// counting-sorted into a tree adjacency and expanded level by level from
+  /// the root (on the pool when frontiers are large); each vertex gets its
+  /// parent, depth and weighted depth when it is reached.  A tree has one
+  /// path from each vertex to the root, so the result does not depend on
+  /// visit order or pool size.  Throws std::invalid_argument for a wrong
+  /// edge count, a root or endpoint out of range, and edges that do not
+  /// span [0, n) (n-1 edges with a cycle never do).  Work O(n log n), for
+  /// the lifting table.
   static RootedTree from_edges(std::uint32_t n, const EdgeList& tree_edges,
                                std::uint32_t root = 0);
 
@@ -40,7 +48,7 @@ class RootedTree {
 
   /// Snapshot encoding (util/serialize.h): parents, depths, and the binary
   /// lifting table verbatim, so a loaded tree answers lca/distance queries
-  /// bitwise-identically without re-running the rooting BFS.
+  /// bitwise-identically without re-rooting.
   void save(serialize::Writer& w) const;
   static RootedTree load(serialize::Reader& r);
 

@@ -1,7 +1,6 @@
 #include "linalg/csr_matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -14,24 +13,23 @@ namespace parsdd {
 CsrMatrix CsrMatrix::from_triplets(std::uint32_t n, std::vector<Triplet> ts) {
   // Counting build, the scatter-then-canonicalize pattern of
   // Graph::from_edges: count triplets per row, scan the counts into row
-  // starts, and scatter triplet indices with atomic cursors.  The scatter
-  // order depends on scheduling, so each row's slice is then sorted by
-  // (col, input index) and each run of equal columns folded left to right:
-  // duplicates are summed in input order at any pool size.
+  // starts, and scatter triplet indices with bump cursors (atomic on the
+  // pool, plain inline).  The scatter order depends on scheduling, so each
+  // row's slice is then sorted by (col, input index) and each run of equal
+  // columns folded left to right: duplicates are summed in input order at
+  // any pool size.
+  static GranularitySite site("linalg.csr_scatter", /*init_ns_per_unit=*/4.0);
   const std::size_t m = ts.size();
   std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
-  parallel_for(0, m, [&](std::size_t i) {
+  parallel_for_bump(site, 0, m, [&](std::size_t i, auto&& bump) {
     assert(ts[i].row < n && ts[i].col < n);
-    std::atomic_ref<std::size_t>(start[ts[i].row])
-        .fetch_add(1, std::memory_order_relaxed);
+    bump(start[ts[i].row]);
   });
   scan_exclusive(start);  // start[n] == m
   std::vector<std::size_t> cursor = start;
   std::vector<std::size_t> order(m);
-  parallel_for(0, m, [&](std::size_t i) {
-    std::size_t p = std::atomic_ref<std::size_t>(cursor[ts[i].row])
-                        .fetch_add(1, std::memory_order_relaxed);
-    order[p] = i;
+  parallel_for_bump(site, 0, m, [&](std::size_t i, auto&& bump) {
+    order[bump(cursor[ts[i].row])] = i;
   });
 
   // Canonicalize each row and count its distinct columns; the second scan

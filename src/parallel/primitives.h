@@ -16,6 +16,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -71,6 +72,34 @@ template <typename F>
 void parallel_for(std::size_t lo, std::size_t hi, F&& f,
                   std::size_t grain = 0) {
   parallel_for(default_granularity_site(), lo, hi, std::forward<F>(f), grain);
+}
+
+/// parallel_for for counting-sort scatters: the body is f(i, bump), where
+/// bump(slot) post-increments an integer slot and returns its old value.
+/// On the pool bump is a relaxed atomic fetch_add; inline it is a plain
+/// increment, since an uncontended `lock xadd` costs as much as the rest of
+/// a scatter body.  The body must not care which it got: slots claimed on
+/// the pool land in scheduling-dependent order, so callers canonicalize
+/// what they scatter or use an order nothing observes.
+template <typename F>
+void parallel_for_bump(GranularitySite& site, std::size_t lo, std::size_t hi,
+                       F&& f) {
+  if (hi <= lo) return;
+  std::size_t nb = canonical_blocks(hi - lo, 0);
+  if (nb > 1 && site.should_parallelize(hi - lo)) {
+    auto bump = [](auto& slot) {
+      return std::atomic_ref(slot).fetch_add(1, std::memory_order_relaxed);
+    };
+    ThreadPool::instance().run_blocks(nb, [&](std::size_t b) {
+      std::size_t s = lo + b * kDefaultGrain;
+      std::size_t e = std::min(hi, s + kDefaultGrain);
+      for (std::size_t i = s; i < e; ++i) f(i, bump);
+    });
+    return;
+  }
+  detail::SeqTimer timer(site, hi - lo);
+  auto bump = [](auto& slot) { return slot++; };
+  for (std::size_t i = lo; i < hi; ++i) f(i, bump);
 }
 
 /// parallel_reduce: returns combine-fold of map(i) over [lo, hi) with the
@@ -259,6 +288,82 @@ void parallel_sort(std::vector<T>& v, Cmp cmp = Cmp{}) {
       std::copy(buf.begin() + lo, buf.begin() + hi, v.begin() + lo);
     });
   }
+}
+
+/// Stable LSD radix sort of the indices [0, keys.size()) by 64-bit key:
+/// returns `order` with keys[order[0]] <= keys[order[1]] <= ..., equal keys
+/// in index order — the unique stable permutation, so the result cannot
+/// depend on the pool.  Eight 8-bit digit passes, minus every pass whose
+/// digit is the same for all keys (all-equal keys need none).  Each pass
+/// runs on the canonical block partition: per-block digit histograms,
+/// scanned digit-major then in block order, give every block a private,
+/// stable output range for each digit.  O(passes * (n + 256 * blocks)) work.
+inline std::vector<std::uint32_t> radix_sort_indices(
+    const std::vector<std::uint64_t>& keys) {
+  static GranularitySite site("primitives.radix_sort", /*init_ns_per_unit=*/2.0);
+  constexpr std::size_t kRadix = 256;
+  std::size_t n = keys.size();
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  if (n < 2) return order;
+  struct Bits {
+    std::uint64_t all_or, all_and;
+  };
+  Bits bits = parallel_reduce(
+      0, n, Bits{0, ~std::uint64_t{0}},
+      [&](std::size_t i) { return Bits{keys[i], keys[i]}; },
+      [](Bits a, Bits b) {
+        return Bits{a.all_or | b.all_or, a.all_and & b.all_and};
+      });
+  std::uint64_t varying = bits.all_or ^ bits.all_and;
+  if (varying == 0) return order;
+
+  std::size_t nb = canonical_blocks(n, 0);
+  std::size_t g = kDefaultGrain;
+  // Pass buffers ping-pong; the first pass reads `keys` in place.
+  std::vector<std::uint64_t> key_a(n), key_b(n);
+  std::vector<std::uint32_t> idx_out(n);
+  const std::uint64_t* key_in = keys.data();
+  std::vector<std::uint32_t> hist(nb * kRadix);
+  bool pool = site.should_parallelize(2 * n);
+  detail::SeqTimer timer(site, pool ? 0 : 2 * n);
+  auto run = [&](auto&& fn) {
+    if (pool) {
+      ThreadPool::instance().run_blocks(nb, fn);
+    } else {
+      for (std::size_t b = 0; b < nb; ++b) fn(b);
+    }
+  };
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & (kRadix - 1)) == 0) continue;
+    std::uint64_t* key_out = key_in == key_a.data() ? key_b.data() : key_a.data();
+    run([&](std::size_t b) {
+      std::uint32_t* h = hist.data() + b * kRadix;
+      std::fill(h, h + kRadix, 0u);
+      for (std::size_t i = b * g, e = std::min(n, i + g); i < e; ++i) {
+        ++h[(key_in[i] >> shift) & (kRadix - 1)];
+      }
+    });
+    std::uint32_t at = 0;
+    for (std::size_t d = 0; d < kRadix; ++d) {
+      for (std::size_t b = 0; b < nb; ++b) {
+        std::uint32_t c = hist[b * kRadix + d];
+        hist[b * kRadix + d] = at;
+        at += c;
+      }
+    }
+    run([&](std::size_t b) {
+      std::uint32_t* cursor = hist.data() + b * kRadix;
+      for (std::size_t i = b * g, e = std::min(n, i + g); i < e; ++i) {
+        std::uint32_t p = cursor[(key_in[i] >> shift) & (kRadix - 1)]++;
+        key_out[p] = key_in[i];
+        idx_out[p] = order[i];
+      }
+    });
+    key_in = key_out;
+    order.swap(idx_out);
+  }
+  return order;
 }
 
 /// Fills `out[i] = f(i)` for i in [0, n) and returns the vector.

@@ -107,6 +107,9 @@ struct SolverService::Impl {
   std::size_t in_flight PARSDD_GUARDED_BY(mu) = 0;
   /// Dispatched blocks not yet answered (the in-flight batch gauge).
   std::size_t in_flight_blocks PARSDD_GUARDED_BY(mu) = 0;
+  /// Blocks already counted completed whose promises or post-solve quality
+  /// check are still running (drain() waits for zero).
+  std::size_t answering_blocks PARSDD_GUARDED_BY(mu) = 0;
   bool stopping PARSDD_GUARDED_BY(mu) = false;
   /// Async rebuilds queued or running (drain() waits for zero).
   std::size_t rebuilds_inflight_n PARSDD_GUARDED_BY(mu) = 0;
@@ -157,7 +160,13 @@ struct SolverService::Impl {
   void post_batch(std::shared_ptr<PendingBatch> job) PARSDD_EXCLUDES(mu);
 
   void execute_single_block(SingleBlockJob& job);
-  void finish(std::size_t count) PARSDD_EXCLUDES(mu);
+  /// Counts a block's `count` requests completed and releases their
+  /// in-flight slots.  Runs before any of the block's promises is set, so a
+  /// stats() read made after a client holds its answer counts that answer.
+  void settle(std::size_t count) PARSDD_EXCLUDES(mu);
+  /// Ends a settled block once its promises are set and its quality check
+  /// ran; drain() returns only after every settled block finished.
+  void finish() PARSDD_EXCLUDES(mu);
 
   /// The update() entry point body (handle resolution, tier dispatch,
   /// atomic swap / rebuild scheduling).  Takes update_mu, then mu.
@@ -457,7 +466,7 @@ std::future<StatusOr<BatchSolveResult>> SolverService::submit_batch(
 void SolverService::drain() {
   MutexLock lock(impl_->mu);
   while (impl_->queued != 0 || impl_->in_flight != 0 ||
-         impl_->rebuilds_inflight_n != 0) {
+         impl_->answering_blocks != 0 || impl_->rebuilds_inflight_n != 0) {
     impl_->cv_idle.wait(lock);
   }
 }
@@ -571,13 +580,14 @@ void SolverService::Impl::post_single_block(
   bool posted = exec->post([this, job] {
     execute_single_block(*job);
     maybe_quality_rebuild(job->handle_id, job->setup);
-    finish(job->reqs.size());
+    finish();
   });
   if (!posted) {
+    settle(job->reqs.size());
     for (PendingSingle& r : job->reqs) {
       r.promise.set_value(UnavailableError("service stopped"));
     }
-    finish(job->reqs.size());
+    finish();
   }
 }
 
@@ -585,6 +595,7 @@ void SolverService::Impl::post_batch(std::shared_ptr<PendingBatch> job) {
   bool posted = exec->post([this, job] {
     BatchSolveReport report;
     StatusOr<MultiVec> x = job->setup->solve_batch(job->b, &report);
+    settle(1);
     if (x.ok()) {
       job->promise.set_value(
           BatchSolveResult{std::move(*x), std::move(report)});
@@ -592,11 +603,12 @@ void SolverService::Impl::post_batch(std::shared_ptr<PendingBatch> job) {
       job->promise.set_value(x.status());
     }
     maybe_quality_rebuild(job->handle_id, job->setup);
-    finish(1);
+    finish();
   });
   if (!posted) {
+    settle(1);
     job->promise.set_value(UnavailableError("service stopped"));
-    finish(1);
+    finish();
   }
 }
 
@@ -609,6 +621,7 @@ void SolverService::Impl::execute_single_block(SingleBlockJob& job) {
   }
   BatchSolveReport report;
   StatusOr<MultiVec> x = job.setup->solve_batch(b, &report);
+  settle(k);
   if (!x.ok()) {
     // Cannot happen for requests validated at submit; surface it anyway.
     for (PendingSingle& r : job.reqs) r.promise.set_value(x.status());
@@ -623,12 +636,18 @@ void SolverService::Impl::execute_single_block(SingleBlockJob& job) {
   }
 }
 
-void SolverService::Impl::finish(std::size_t count) {
+void SolverService::Impl::settle(std::size_t count) {
+  MutexLock lock(mu);
+  in_flight -= count;
+  --in_flight_blocks;  // every settle() answers exactly one block
+  counters.completed += count;
+  ++answering_blocks;
+}
+
+void SolverService::Impl::finish() {
   {
     MutexLock lock(mu);
-    in_flight -= count;
-    --in_flight_blocks;  // every finish() answers exactly one block
-    counters.completed += count;
+    --answering_blocks;
   }
   cv_idle.notify_all();
 }

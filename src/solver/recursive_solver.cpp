@@ -158,7 +158,11 @@ std::vector<IterStats> RecursiveSolver::solve_batch(
   copts.flexible = true;
   if (x.rows() != top.n || x.cols() != k) x.assign(top.n, k, 0.0);
   if (chain_.levels.size() == 1) {
-    // Degenerate chain: one chain pass is a direct solve; columns it already
+    // One-level chain: warm-start x with one application of level 0.  On a
+    // bottom-only chain that is the dense direct solve.  On the default,
+    // fully eliminated chain it is an inner preconditioned FCG run
+    // (opts_.inner_tolerance, opts_.inner_max_iterations: 0.1 and 40 by
+    // default) whose iterations no report counts.  Columns it already
     // converged freeze at the first CG convergence check.
     apply_block(b, x, ws);
   }

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "graph/connectivity.h"
 #include "graph/edge_list.h"
@@ -134,6 +136,64 @@ TEST(Graph, FromClassedEdgesUnitWeights) {
   EXPECT_DOUBLE_EQ(g.weights(0)[0], 1.0);
   // eid refers to the index in the classed edge vector.
   EXPECT_EQ(g.edge_ids(0)[0], 0u);
+}
+
+// Sequential scatter in input order: the adjacency Graph::from_edges must
+// reproduce at any pool size.
+struct ScatterCsr {
+  std::vector<std::vector<std::uint32_t>> adj, eid;
+  std::vector<std::vector<double>> wgt;
+};
+
+template <typename Edges>
+ScatterCsr input_order_scatter(std::uint32_t n, const Edges& edges,
+                               bool unit_weights) {
+  ScatterCsr r{std::vector<std::vector<std::uint32_t>>(n),
+               std::vector<std::vector<std::uint32_t>>(n),
+               std::vector<std::vector<double>>(n)};
+  for (std::uint32_t i = 0; i < edges.size(); ++i) {
+    const auto& e = edges[i];
+    double w = 1.0;
+    if constexpr (std::is_same_v<Edges, EdgeList>) {
+      if (!unit_weights) w = e.w;
+    }
+    r.adj[e.u].push_back(e.v);
+    r.wgt[e.u].push_back(w);
+    r.eid[e.u].push_back(i);
+    r.adj[e.v].push_back(e.u);
+    r.wgt[e.v].push_back(w);
+    r.eid[e.v].push_back(i);
+  }
+  return r;
+}
+
+void expect_scatter_order(const Graph& g, const ScatterCsr& r) {
+  for (std::uint32_t v = 0; v < g.num_vertices(); ++v) {
+    auto nb = g.neighbors(v);
+    auto w = g.weights(v);
+    auto ids = g.edge_ids(v);
+    ASSERT_EQ(std::vector<std::uint32_t>(nb.begin(), nb.end()), r.adj[v]) << v;
+    ASSERT_EQ(std::vector<double>(w.begin(), w.end()), r.wgt[v]) << v;
+    ASSERT_EQ(std::vector<std::uint32_t>(ids.begin(), ids.end()), r.eid[v])
+        << v;
+  }
+}
+
+TEST(Graph, AdjacencyOrderIsInputOrderScatter) {
+  // A skewed multigraph with repeated pairs and hubs, larger than several
+  // canonical blocks, so slices fill from many blocks at once on the pool.
+  GeneratedGraph g = rmat(12, 30000, 5);
+  EdgeList e = g.edges;
+  e.insert(e.end(), g.edges.begin(), g.edges.begin() + 5000);
+  randomize_weights_log_uniform(e, 10.0, 6);
+  expect_scatter_order(Graph::from_edges(g.n, e),
+                       input_order_scatter(g.n, e, false));
+  std::vector<ClassedEdge> ce;
+  for (std::uint32_t i = 0; i < e.size(); ++i) {
+    ce.push_back({e[i].v, e[i].u, i % 3, 7 * i});
+  }
+  expect_scatter_order(Graph::from_classed_edges(g.n, ce),
+                       input_order_scatter(g.n, ce, true));
 }
 
 TEST(Connectivity, CountsComponents) {

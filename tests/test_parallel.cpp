@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -210,6 +211,42 @@ TEST(Sort, CustomComparator) {
   std::vector<int> v = {3, 1, 4, 1, 5, 9, 2, 6};
   parallel_sort(v, std::greater<int>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<int>{}));
+}
+
+class RadixSortTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RadixSortTest, MatchesStableSortOfIndices) {
+  std::size_t n = GetParam();
+  std::vector<std::uint64_t> keys(n);
+  Rng rng(3 * n + 5);
+  // Few distinct values in varied digit positions: many ties, and some
+  // digits vary while others stay constant.
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = (rng.u64(i) % 7) << (8 * (rng.u64(n + i) % 8));
+  }
+  std::vector<std::uint32_t> expect(n);
+  std::iota(expect.begin(), expect.end(), 0u);
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return keys[a] < keys[b];
+                   });
+  EXPECT_EQ(radix_sort_indices(keys), expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RadixSortTest,
+                         ::testing::Values(0, 1, 2, 1000, 8192, 100001));
+
+TEST(RadixSort, EqualKeysNeedNoPassAndKeepIndexOrder) {
+  std::vector<std::uint64_t> keys(5000, 0xabcdefull);
+  std::vector<std::uint32_t> expect(keys.size());
+  std::iota(expect.begin(), expect.end(), 0u);
+  EXPECT_EQ(radix_sort_indices(keys), expect);
+}
+
+TEST(RadixSort, FullWidthKeys) {
+  std::vector<std::uint64_t> keys = {~0ull, 0, 1ull << 63, 5, ~0ull, 0};
+  EXPECT_EQ(radix_sort_indices(keys),
+            (std::vector<std::uint32_t>{1, 5, 3, 2, 0, 4}));
 }
 
 TEST(Tabulate, FillsValues) {

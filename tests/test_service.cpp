@@ -267,6 +267,42 @@ TEST(SolverService, StatsGaugesTrackQueueAndInFlight) {
   EXPECT_EQ(done.completed, kReqs);
 }
 
+TEST(SolverService, StatsCountEveryAnswerAlreadyInHand) {
+  // A block is counted completed before any of its promises is set, so a
+  // stats() read made right after future.get() counts that answer — even
+  // while the executor is still setting the promises of the block's other
+  // columns.
+  ServiceOptions opts;
+  opts.max_linger_us = 20000;  // coalesce each burst into wide blocks
+  SolverService service(opts);
+  GeneratedGraph g = grid2d(32, 32);
+  SetupHandle h = service.register_laplacian(g.n, g.edges).value();
+  constexpr std::uint64_t kRounds = 20, kBurst = 16;
+  std::uint64_t answered = 0;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    std::vector<std::future<StatusOr<SolveResult>>> futures;
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      futures.push_back(
+          service.submit(h, random_unit_like(g.n, round * kBurst + i)));
+    }
+    for (auto& f : futures) {
+      ASSERT_TRUE(f.get().ok());
+      ++answered;
+      ASSERT_GE(service.stats().completed, answered) << "round " << round;
+    }
+    ServiceStats s = service.stats();
+    ASSERT_EQ(s.completed, answered);
+    ASSERT_EQ(s.in_flight_cols, 0u);
+    ASSERT_EQ(s.in_flight_blocks, 0u);
+  }
+  MultiVec b = MultiVec::from_columns({random_unit_like(g.n, 0)});
+  ASSERT_TRUE(service.submit_batch(h, b).get().ok());
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.completed, answered + 1);
+  EXPECT_EQ(s.in_flight_cols, 0u);
+  EXPECT_EQ(s.in_flight_blocks, 0u);
+}
+
 TEST(SolverService, ShutdownWithPendingNeverHangsOrDrops) {
   // Tighter variant of the destruction test below: with load shedding in
   // play, every accepted future must still resolve — OK or typed — when
