@@ -1,7 +1,6 @@
 #include "solver/greedy_elimination.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -19,91 +18,82 @@ constexpr std::uint32_t kGone = std::numeric_limits<std::uint32_t>::max();
 GreedyEliminationResult greedy_eliminate(std::uint32_t n,
                                          const EdgeList& edges,
                                          std::uint64_t seed) {
+  static GranularitySite select_site("solver.eliminate.select");
   GreedyEliminationResult out;
-  // Mutable multigraph adjacency.  Entries referencing eliminated vertices
-  // are cleaned lazily when a vertex becomes an elimination candidate.
-  // Built in parallel: count/scan/scatter into flat arc arrays, then sort
-  // each vertex's slice by edge id so every adj[v] lists arcs in input-edge
-  // order — exactly what the old sequential push_back loop produced — at
-  // any pool size.
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> adj(n);
+  out.steps.reserve(n);
+
+  // Mutable multigraph adjacency in one flat arc array.  Vertex v owns the
+  // slice [begin[v], begin[v+1]), twice its input degree, used from the
+  // front up to top[v]: input arcs in edge-id order, then fill arcs in
+  // append order.  Arcs to eliminated vertices go stale in place; compact()
+  // drops them and keeps the live ones in order.  A slice is compacted when
+  // its vertex is eliminated or read out, and when an append finds it full.
+  // Degrees never rise, so a compacted slice is at most half full and
+  // appends are amortized O(1), even at hubs that collect many fills.
+  struct Arc {
+    std::uint32_t other;
+    double w;
+  };
   std::vector<std::uint32_t> deg(n, 0);  // live incident edge count
-  {
-    std::size_t m = edges.size();
-    parallel_for(0, m, [&](std::size_t i) {
-      std::atomic_ref<std::uint32_t>(deg[edges[i].u])
-          .fetch_add(1, std::memory_order_relaxed);
-      std::atomic_ref<std::uint32_t>(deg[edges[i].v])
-          .fetch_add(1, std::memory_order_relaxed);
-    });
-    std::vector<std::uint32_t> off(n);
-    parallel_for(0, n, [&](std::size_t v) { off[v] = deg[v]; });
-    std::uint32_t total = scan_exclusive(off);
-    assert(total == 2 * m);
-    std::vector<std::uint32_t> cursor = off;
-    struct Arc {
-      std::uint32_t eid;
-      std::uint32_t other;
-      double w;
-    };
-    std::vector<Arc> arcs(total);
-    parallel_for(0, m, [&](std::size_t i) {
-      const Edge& e = edges[i];
-      std::uint32_t id = static_cast<std::uint32_t>(i);
-      std::uint32_t pu = std::atomic_ref<std::uint32_t>(cursor[e.u])
-                             .fetch_add(1, std::memory_order_relaxed);
-      arcs[pu] = Arc{id, e.v, e.w};
-      std::uint32_t pv = std::atomic_ref<std::uint32_t>(cursor[e.v])
-                             .fetch_add(1, std::memory_order_relaxed);
-      arcs[pv] = Arc{id, e.u, e.w};
-    });
-    parallel_for(0, n, [&](std::size_t v) {
-      std::uint32_t s = off[v], e = off[v] + deg[v];
-      std::sort(arcs.begin() + s, arcs.begin() + e,
-                [](const Arc& a, const Arc& b) { return a.eid < b.eid; });
-      auto& av = adj[v];
-      av.resize(deg[v]);
-      for (std::uint32_t i = s; i < e; ++i) {
-        av[i - s] = {arcs[i].other, arcs[i].w};
-      }
-    });
+  for (const Edge& e : edges) {
+    ++deg[e.u];
+    ++deg[e.v];
+  }
+  std::vector<std::size_t> begin(n + 1, 0);
+  for (std::uint32_t v = 0; v < n; ++v) begin[v + 1] = begin[v] + 2 * deg[v];
+  std::vector<std::size_t> top(begin.begin(), begin.end() - 1);
+  std::vector<Arc> arcs(begin[n]);
+  for (const Edge& e : edges) {
+    arcs[top[e.u]++] = Arc{e.v, e.w};
+    arcs[top[e.v]++] = Arc{e.u, e.w};
   }
   std::vector<std::uint8_t> eliminated(n, 0);
-  Rng rng(seed);
 
+  // Returns the number of live arcs left in v's slice.
   auto compact = [&](std::uint32_t v) {
-    auto& a = adj[v];
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!eliminated[a[i].first]) a[w++] = a[i];
+    std::size_t w = begin[v];
+    for (std::size_t i = begin[v]; i < top[v]; ++i) {
+      if (!eliminated[arcs[i].other]) arcs[w++] = arcs[i];
     }
-    a.resize(w);
-    assert(a.size() == deg[v]);
+    top[v] = w;
+    return w - begin[v];
+  };
+  auto append = [&](std::uint32_t v, Arc a) {
+    if (top[v] == begin[v + 1]) compact(v);
+    arcs[top[v]++] = a;
   };
 
-  std::size_t remaining = n;
-  for (std::uint32_t round = 0; remaining > 0; ++round) {
-    // Candidates: live vertices of degree <= 2.
-    std::vector<std::uint32_t> cand = pack_index(n, [&](std::size_t v) {
-      return !eliminated[v] && deg[v] <= 2;
-    });
-    if (cand.empty()) break;
-    ++out.rounds;
-    Rng round_rng = rng.child(round);
+  // Candidates are the live vertices of degree <= 2, in increasing order.
+  // Each round's list is the previous round's unselected candidates merged
+  // with the vertices whose degree dropped to <= 2 in it; degrees never
+  // rise, so no other vertex can join.  `prio` and `selected` are written
+  // only at candidates.
+  std::vector<std::uint32_t> cand, unselected, dropped, next;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (deg[v] <= 2) cand.push_back(v);
+  }
+  std::vector<std::uint64_t> prio(n);
+  std::vector<std::uint8_t> selected(n);
+  auto lose = [&](std::uint32_t u, std::uint32_t k) {
+    if (deg[u] > 2 && deg[u] - k <= 2) dropped.push_back(u);
+    deg[u] -= k;
+  };
+  Rng rng(seed);
+  while (!cand.empty()) {
+    Rng round_rng = rng.child(out.rounds++);
 
     // Random priorities; a candidate is selected iff it beats every
-    // candidate neighbor (independent set of local maxima).
-    std::vector<std::uint64_t> prio(n, 0);
-    parallel_for(0, cand.size(), [&](std::size_t i) {
+    // candidate neighbor (independent set of local maxima).  Selection
+    // reads the degrees as they were at the start of the round.
+    parallel_for(select_site, 0, cand.size(), [&](std::size_t i) {
       // Mix the vertex id so priorities are distinct.
       prio[cand[i]] = (round_rng.u64(cand[i]) << 20) | cand[i];
     });
-    std::vector<std::uint8_t> selected(n, 0);
-    parallel_for(0, cand.size(), [&](std::size_t i) {
+    parallel_for(select_site, 0, cand.size(), [&](std::size_t i) {
       std::uint32_t v = cand[i];
       bool best = true;
-      for (const auto& [u, w] : adj[v]) {
-        (void)w;
+      for (std::size_t a = begin[v]; a < top[v]; ++a) {
+        std::uint32_t u = arcs[a].other;
         if (eliminated[u]) continue;
         if (deg[u] <= 2 && prio[u] > prio[v]) {
           best = false;
@@ -113,43 +103,53 @@ GreedyEliminationResult greedy_eliminate(std::uint32_t n,
       selected[v] = best ? 1 : 0;
     });
 
-    // Apply the independent set sequentially (the updates are O(1) each;
-    // the parallel work above is the selection, matching the rake/compress
-    // rounds of [MR89]).
+    // Apply the independent set sequentially in increasing v (the updates
+    // are O(1) each; the parallel work above is the selection, matching the
+    // rake/compress rounds of [MR89]).
+    unselected.clear();
+    dropped.clear();
     for (std::uint32_t v : cand) {
-      if (!selected[v]) continue;
-      compact(v);
+      if (!selected[v]) {
+        unselected.push_back(v);
+        continue;
+      }
+      [[maybe_unused]] std::size_t live = compact(v);
+      assert(live == deg[v]);
+      const Arc* a = arcs.data() + begin[v];
       EliminationStep step;
       step.v = v;
       step.degree = deg[v];
       if (deg[v] >= 1) {
-        step.u1 = adj[v][0].first;
-        step.w1 = adj[v][0].second;
+        step.u1 = a[0].other;
+        step.w1 = a[0].w;
       }
       if (deg[v] == 2) {
-        step.u2 = adj[v][1].first;
-        step.w2 = adj[v][1].second;
+        step.u2 = a[1].other;
+        step.w2 = a[1].w;
       }
       step.pivot = step.w1 + step.w2;
       eliminated[v] = 1;
-      --remaining;
       if (step.degree == 1) {
-        --deg[step.u1];
+        lose(step.u1, 1);
       } else if (step.degree == 2) {
         if (step.u1 == step.u2) {
           // Parallel edges to the same neighbor: the fill is a self-loop,
           // which vanishes from the Laplacian.
-          deg[step.u1] -= 2;
+          lose(step.u1, 2);
         } else {
           double fill = step.w1 * step.w2 / step.pivot;
-          adj[step.u1].push_back({step.u2, fill});
-          adj[step.u2].push_back({step.u1, fill});
+          append(step.u1, Arc{step.u2, fill});
+          append(step.u2, Arc{step.u1, fill});
           // u1/u2 each lose the edge to v and gain the fill: deg unchanged.
         }
       }
-      adj[v].clear();
       out.steps.push_back(step);
     }
+    std::sort(dropped.begin(), dropped.end());
+    next.resize(unselected.size() + dropped.size());
+    std::merge(unselected.begin(), unselected.end(), dropped.begin(),
+               dropped.end(), next.begin());
+    cand.swap(next);
   }
 
   // Assemble the reduced graph.
@@ -163,51 +163,19 @@ GreedyEliminationResult greedy_eliminate(std::uint32_t n,
   }
   out.reduced_n = static_cast<std::uint32_t>(out.orig_of_reduced.size());
   for (std::uint32_t v : out.orig_of_reduced) {
-    compact(v);
-    for (const auto& [u, w] : adj[v]) {
-      if (u > v || (u == v)) continue;  // emit each edge once (u < v side)
+    [[maybe_unused]] std::size_t live = compact(v);
+    assert(live == deg[v]);
+    for (std::size_t i = begin[v]; i < top[v]; ++i) {
+      std::uint32_t u = arcs[i].other;
+      if (u >= v) continue;  // emit each edge once (u < v side)
       out.reduced_edges.push_back(
-          Edge{out.reduced_of_orig[u], out.reduced_of_orig[v], w});
+          Edge{out.reduced_of_orig[u], out.reduced_of_orig[v], arcs[i].w});
     }
   }
   // Merge parallel edges in the reduced graph (Laplacian-equivalent and
   // keeps later levels lean).
   out.reduced_edges = combine_parallel_edges(out.reduced_edges);
   return out;
-}
-
-Vec GreedyEliminationResult::fold_rhs(const Vec& b, Vec* reduced_rhs) const {
-  Vec folded = b;
-  for (const EliminationStep& s : steps) {
-    if (s.degree >= 1) folded[s.u1] += (s.w1 / s.pivot) * folded[s.v];
-    if (s.degree == 2) folded[s.u2] += (s.w2 / s.pivot) * folded[s.v];
-  }
-  if (reduced_rhs) {
-    reduced_rhs->resize(reduced_n);
-    for (std::uint32_t i = 0; i < reduced_n; ++i) {
-      (*reduced_rhs)[i] = folded[orig_of_reduced[i]];
-    }
-  }
-  return folded;
-}
-
-Vec GreedyEliminationResult::back_substitute(const Vec& folded_b,
-                                             const Vec& x_reduced) const {
-  Vec x(folded_b.size(), 0.0);
-  for (std::uint32_t i = 0; i < reduced_n; ++i) {
-    x[orig_of_reduced[i]] = x_reduced[i];
-  }
-  for (std::size_t k = steps.size(); k-- > 0;) {
-    const EliminationStep& s = steps[k];
-    if (s.degree == 0) {
-      x[s.v] = 0.0;  // isolated vertex: grounded
-    } else if (s.degree == 1) {
-      x[s.v] = folded_b[s.v] / s.pivot + x[s.u1];
-    } else {
-      x[s.v] = (folded_b[s.v] + s.w1 * x[s.u1] + s.w2 * x[s.u2]) / s.pivot;
-    }
-  }
-  return x;
 }
 
 void GreedyEliminationResult::fold_rhs_block(const MultiVec& b,
@@ -282,9 +250,9 @@ GreedyEliminationResult GreedyEliminationResult::load(serialize::Reader& r,
       e.reduced_of_orig.empty()) {
     return e;
   }
-  // Every stored index feeds unchecked array accesses in fold_rhs /
-  // back_substitute; validate all of them against the caller's n before the
-  // result can reach a solve.
+  // Every stored index feeds unchecked array accesses in fold_rhs_block /
+  // back_substitute_block; validate all of them against the caller's n
+  // before the result can reach a solve.
   bool ok = e.reduced_n <= n && e.orig_of_reduced.size() == e.reduced_n &&
             e.reduced_of_orig.size() == n;
   for (std::size_t i = 0; ok && i < e.steps.size(); ++i) {

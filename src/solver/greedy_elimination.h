@@ -16,6 +16,13 @@
 // vertices (Schur complement RHS), and back-substitution recovers eliminated
 // entries from the reduced solution.  An input that is entirely a tree
 // eliminates to nothing and is solved exactly by the recorded steps alone.
+//
+// Work is O(m) plus O(candidates) per round, never O(n) per round: the
+// multigraph lives in one flat arc array where each vertex owns a slice of
+// twice its input degree (fills are appended, stale arcs compacted only when
+// a slice fills up or is read), and each round's candidate list is derived
+// from the previous one — its unselected candidates plus the vertices whose
+// degree just dropped to <= 2 — rather than by a scan over all vertices.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +31,6 @@
 #include "graph/edge_list.h"
 #include "kernels/kernels.h"
 #include "linalg/multivec.h"
-#include "linalg/vector_ops.h"
 
 namespace parsdd {
 
@@ -48,24 +54,18 @@ class GreedyEliminationResult {
   /// original id -> reduced id (UINT32_MAX if eliminated).
   std::vector<std::uint32_t> reduced_of_orig;
 
-  /// Folds an original-space RHS through the eliminations; returns the
-  /// full-length folded vector (needed again by back_substitute) and writes
-  /// the reduced-space RHS to `reduced_rhs`.
-  Vec fold_rhs(const Vec& b, Vec* reduced_rhs) const;
-
-  /// Reconstructs the full solution from the reduced solve and the folded
-  /// RHS returned by fold_rhs.
-  Vec back_substitute(const Vec& folded_b, const Vec& x_reduced) const;
-
-  /// Batched fold: one walk of the elimination record serves all columns of
-  /// `b` (the step decode is amortized and the per-step update vectorizes
-  /// over the row).  Column c matches fold_rhs(b[:,c]) exactly.  Output
-  /// blocks are resized in place so steady-state calls do not allocate.
+  /// Folds an original-space RHS block through the eliminations: `folded`
+  /// gets the full-length folded block (needed again by
+  /// back_substitute_block) and `reduced_rhs` its reduced-space rows.  One
+  /// walk of the elimination record serves all columns (the step decode is
+  /// amortized and the per-step update vectorizes over the row); column c
+  /// is the same at any block width.  Output blocks are resized in place so
+  /// steady-state calls do not allocate.
   void fold_rhs_block(const MultiVec& b, MultiVec& folded,
                       MultiVec& reduced_rhs) const;
 
-  /// Batched back-substitution; column c matches back_substitute on that
-  /// column.
+  /// Reconstructs the full solution block from the reduced solve and the
+  /// folded block returned by fold_rhs_block.
   void back_substitute_block(const MultiVec& folded_b,
                              const MultiVec& x_reduced, MultiVec& x) const;
 

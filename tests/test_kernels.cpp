@@ -473,20 +473,41 @@ TEST(SparseKernelsK1, SpmmMatchesSpmv) {
   EXPECT_TRUE(same_bits(ym.data(), yv));
 }
 
-// fold_steps/backsub_steps at k = 1 against the single-vector reference in
-// GreedyEliminationResult, through the block entry points the chain uses.
+// fold_steps/backsub_steps at k = 1 against a plain scalar walk of the
+// elimination record, through the block entry points the chain uses.
 void expect_elimination_k1_matches(std::uint32_t n, const EdgeList& edges) {
   GreedyEliminationResult el = greedy_eliminate(n, edges, 3);
   MultiVec b = filled(91, n, 1);
-  Vec reduced_ref;
-  Vec folded_ref = el.fold_rhs(b.data(), &reduced_ref);
+  Vec folded_ref = b.data();
+  for (const EliminationStep& s : el.steps) {
+    if (s.degree >= 1) folded_ref[s.u1] += (s.w1 / s.pivot) * folded_ref[s.v];
+    if (s.degree == 2) folded_ref[s.u2] += (s.w2 / s.pivot) * folded_ref[s.v];
+  }
+  Vec reduced_ref(el.reduced_n);
+  for (std::uint32_t i = 0; i < el.reduced_n; ++i) {
+    reduced_ref[i] = folded_ref[el.orig_of_reduced[i]];
+  }
   MultiVec folded, reduced;
   el.fold_rhs_block(b, folded, reduced);
   EXPECT_TRUE(same_bits(folded.data(), folded_ref));
   EXPECT_TRUE(same_bits(reduced.data(), reduced_ref));
 
   MultiVec xr = filled(92, el.reduced_n, 1);
-  Vec x_ref = el.back_substitute(folded_ref, xr.data());
+  Vec x_ref(n, 0.0);
+  for (std::uint32_t i = 0; i < el.reduced_n; ++i) {
+    x_ref[el.orig_of_reduced[i]] = xr.data()[i];
+  }
+  for (std::size_t k = el.steps.size(); k-- > 0;) {
+    const EliminationStep& s = el.steps[k];
+    if (s.degree == 0) {
+      x_ref[s.v] = 0.0;
+    } else if (s.degree == 1) {
+      x_ref[s.v] = folded_ref[s.v] / s.pivot + x_ref[s.u1];
+    } else {
+      x_ref[s.v] = (folded_ref[s.v] + s.w1 * x_ref[s.u1] +
+                    s.w2 * x_ref[s.u2]) / s.pivot;
+    }
+  }
   MultiVec x;
   el.back_substitute_block(folded, xr, x);
   EXPECT_TRUE(same_bits(x.data(), x_ref));

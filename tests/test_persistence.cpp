@@ -176,12 +176,14 @@ TEST(Persistence, EliminationRoundTripBitwise) {
   EXPECT_EQ(loaded.reduced_n, e.reduced_n);
   EXPECT_EQ(loaded.orig_of_reduced, e.orig_of_reduced);
   EXPECT_EQ(loaded.reduced_of_orig, e.reduced_of_orig);
-  Vec b = random_unit_like(g.n, 29);
-  Vec ra, rb;
-  Vec fa = e.fold_rhs(b, &ra);
-  Vec fb = loaded.fold_rhs(b, &rb);
-  EXPECT_EQ(0, std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)));
+  MultiVec b = MultiVec::from_columns({random_unit_like(g.n, 29)});
+  MultiVec fa, fb, ra, rb;
+  e.fold_rhs_block(b, fa, ra);
+  loaded.fold_rhs_block(b, fb, rb);
+  EXPECT_EQ(0, std::memcmp(fa.data().data(), fb.data().data(),
+                           fa.data().size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(ra.data().data(), rb.data().data(),
+                           ra.data().size() * sizeof(double)));
 }
 
 TEST(Persistence, GrembanRoundTrip) {
