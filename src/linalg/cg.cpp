@@ -50,12 +50,12 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
       kernels::copy_cols(in, out);
     }
   };
-  apply_precond(s.r, s.z);
-  kernels::copy_cols(s.z, s.p);
-  ColScalars rz = kernels::dot_cols(s.r, s.z);
-  ColScalars alpha(k, 0.0), beta(k, 0.0);
+  ColScalars rz(k, 0.0), alpha(k, 0.0), beta(k, 0.0);
 
-  for (std::uint32_t it = 0; it < opts.max_iterations && remaining > 0; ++it) {
+  // Each pass tests the current r before preconditioning it, so the loop
+  // never computes a z that no later step reads: the last pass stops on the
+  // tolerance or the iteration cap without a preconditioner application.
+  for (std::uint32_t it = 0;; ++it) {
     ColScalars rnorm = kernels::norm2_cols(s.r);
     for (std::size_t c = 0; c < k; ++c) {
       if (!alive[c]) continue;
@@ -66,7 +66,33 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
         --remaining;
       }
     }
-    if (remaining == 0) break;
+    if (remaining == 0 || it == opts.max_iterations) break;
+    apply_precond(s.r, s.z);
+    if (it == 0) {
+      kernels::copy_cols(s.z, s.p);
+      rz = kernels::dot_cols(s.r, s.z);
+    } else {
+      ColScalars rz_next = kernels::dot_cols(s.r, s.z);
+      if (opts.flexible) {
+        // Polak–Ribière per column, tolerant of the varying preconditioner.
+        ColScalars num = kernels::dot_diff_cols(s.z, s.r, s.r_prev);
+        for (std::size_t c = 0; c < k; ++c) beta[c] = num[c] / rz[c];
+      } else {
+        for (std::size_t c = 0; c < k; ++c) beta[c] = rz_next[c] / rz[c];
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        if (!alive[c]) continue;
+        if (!std::isfinite(beta[c])) {
+          alive[c] = 0;
+          --remaining;
+          continue;
+        }
+        if (beta[c] < 0.0) beta[c] = 0.0;  // restart direction
+        rz[c] = rz_next[c];
+      }
+      kernels::xpay_cols(s.z, beta, s.p, &alive);
+      if (remaining == 0) break;
+    }
     for (std::size_t c = 0; c < k; ++c) {
       if (alive[c]) ++stats[c].iterations;
     }
@@ -89,28 +115,6 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
     for (std::size_t c = 0; c < k; ++c) neg_alpha[c] = -alpha[c];
     kernels::axpy_cols(neg_alpha, s.ap, s.r, &alive);
     if (opts.project_constant) kernels::project_out_constant_cols(s.r, &alive);
-    apply_precond(s.r, s.z);
-    ColScalars rz_next;
-    if (opts.flexible) {
-      // Polak–Ribière per column, tolerant of the varying preconditioner.
-      ColScalars num = kernels::dot_diff_cols(s.z, s.r, s.r_prev);
-      rz_next = kernels::dot_cols(s.r, s.z);
-      for (std::size_t c = 0; c < k; ++c) beta[c] = num[c] / rz[c];
-    } else {
-      rz_next = kernels::dot_cols(s.r, s.z);
-      for (std::size_t c = 0; c < k; ++c) beta[c] = rz_next[c] / rz[c];
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      if (!alive[c]) continue;
-      if (!std::isfinite(beta[c])) {
-        alive[c] = 0;
-        --remaining;
-        continue;
-      }
-      if (beta[c] < 0.0) beta[c] = 0.0;  // restart direction
-      rz[c] = rz_next[c];
-    }
-    kernels::xpay_cols(s.z, beta, s.p, &alive);
   }
 
   // Columns that hit max_iterations or broke down: their r froze with them,

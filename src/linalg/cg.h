@@ -28,8 +28,10 @@ struct CgOptions {
 /// whole block, while alpha, beta, and the convergence test stay
 /// per-column, so column c runs the exact iteration sequence of a k=1 call
 /// on B[:,c].  Columns freeze (no further updates) the moment they converge or
-/// break down; the loop exits when every column is frozen.  Returns one
-/// IterStats per column.
+/// break down; the loop exits when every column is frozen.  The residual is
+/// tested before it is preconditioned, so a k=1 solve that stops on the
+/// tolerance or the iteration cap after t iterations applies the
+/// preconditioner t times, not t+1.  Returns one IterStats per column.
 std::vector<IterStats> block_conjugate_gradient(
     const BlockLinOp& a, const MultiVec& b, MultiVec& x, const CgOptions& opts,
     const BlockLinOp* precond = nullptr, BlockScratch* scratch = nullptr);

@@ -46,40 +46,29 @@ SolverChain build_chain(std::uint32_t n, const EdgeList& edges,
     sopts.oversample = opts.oversample;
     sopts.p_floor = opts.p_floor;
     sopts.subgraph_scale = opts.subgraph_scale;
-    sopts.subgraph.lambda = opts.lambda;
-    sopts.subgraph.theta = opts.theta;
-    sopts.subgraph.y = opts.subgraph_y;
-    sopts.subgraph.z = opts.subgraph_z;
     // Resolve κ for this level.  Automatic mode mirrors Lemma 6.2's
     // S·log n / κ edge-budget relation: aim for ~m/8 sampled edges.
     double m = static_cast<double>(cur_edges.size());
     double ln_n = std::log(std::max<double>(cur_n, 2.0));
+    SparsifyTree tree = max_conductance_tree(cur_n, cur_edges);
+    double avg_stretch = tree.stretch.total / std::max(1.0, m);
     double level_kappa = kappa;
-    SparsifyResult sp;
-    double avg_stretch = 0.0;
     if (opts.mode == ChainMode::kUltrasparse) {
       // B = Ĝ exactly: suppress sampling by sending κ to infinity.
       sopts.kappa = 1e300;
       sopts.p_floor = 0.0;
-      sp = incremental_sparsify(cur_n, cur_edges, sopts);
-      avg_stretch = sp.total_stretch / std::max(1.0, m);
       level_kappa = avg_stretch * m;  // nominal bound: total stretch
     } else {
-      // First pass with a provisional κ to learn the stretch; redo with the
-      // informed value if the provisional badly missed the m/8 budget.
+      // A provisional κ, replaced by the informed value if it badly missed
+      // the m/8 budget.
       if (level_kappa <= 0.0) level_kappa = 8.0 * ln_n;
-      sopts.kappa = level_kappa;
-      sp = incremental_sparsify(cur_n, cur_edges, sopts);
-      avg_stretch = sp.total_stretch / std::max(1.0, m);
       if (opts.kappa <= 0.0) {
         double informed = 8.0 * opts.oversample * avg_stretch * ln_n;
-        if (informed > 2.0 * level_kappa) {
-          level_kappa = informed;
-          sopts.kappa = level_kappa;
-          sp = incremental_sparsify(cur_n, cur_edges, sopts);
-        }
+        if (informed > 2.0 * level_kappa) level_kappa = informed;
       }
+      sopts.kappa = level_kappa;
     }
+    SparsifyResult sp = incremental_sparsify(cur_n, cur_edges, tree, sopts);
     lvl.kappa = level_kappa;
     lvl.avg_stretch = avg_stretch;
     lvl.has_preconditioner = true;

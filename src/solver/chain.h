@@ -10,14 +10,19 @@
 // factorization (Fact 6.4).
 //
 // Parameter notes (see DESIGN.md): κ_i is configurable with an automatic
-// mode tying it to the measured average stretch of the level's low-stretch
-// subgraph (the theory's κ = Θ(S log n / edge budget) relation from
+// mode tying it to the measured average stretch of the level's spanning
+// tree (the theory's κ = Θ(S log n / edge budget) relation from
 // Lemma 6.2); §6.3's geometrically growing κ_i schedule is available via
 // kappa_growth.
 //
+// Each level's Ĝ_i is the maximum-conductance spanning tree of A_i (see
+// incremental_sparsify.h), built once per level.  The default kUltrasparse
+// chain therefore has B_1 = that tree, which GreedyElimination removes
+// completely: one level, and the solve is tree-preconditioned CG.
+//
 // Edge weights in a chain (A_i, B_i) are conductances, the Laplacian's
 // off-diagonal magnitudes.  incremental_sparsify converts them to
-// resistance lengths once for the LSST code; avg_stretch is therefore the
+// resistance lengths once for the tree; avg_stretch is therefore the
 // spectral stretch w_e · Σ_path 1/w_f.
 #pragma once
 
@@ -35,10 +40,10 @@ namespace parsdd {
 
 /// How each level's preconditioner B_i is built.
 enum class ChainMode {
-  /// B_i = Ĝ_i, the ultra-sparse low-stretch subgraph itself, with no
-  /// off-subgraph sampling.  GreedyElimination then shrinks by ~y^λ per
-  /// level, so chains are short and the recursive solve is affordable; this
-  /// is the production default (see DESIGN.md on the theory-practice gap of
+  /// B_i = Ĝ_i, the maximum-conductance spanning tree, with no
+  /// off-tree sampling.  GreedyElimination eliminates it completely, so the
+  /// chain is one level and the solve is tree-PCG; this is the production
+  /// default (see DESIGN.md on the theory-practice gap of
   /// stretch-proportional sampling at laptop scale).
   kUltrasparse,
   /// B_i = IncrementalSparsify(A_i, κ_i): the paper's Lemma 6.1 chain.
@@ -63,7 +68,9 @@ struct ChainOptions {
   /// Sampling probability floor / subgraph scaling; see SparsifyOptions.
   double p_floor = 0.2;
   double subgraph_scale = 1.0;
-  /// LSSubgraph parameters (0 = automatic y/z).
+  /// LSSubgraph parameters.  Unread by build_chain, whose Ĝ is the
+  /// maximum-conductance tree; kept in the snapshot format, and for callers
+  /// that hand them to ls_subgraph themselves.
   std::uint32_t lambda = 2;
   double theta = 0.05;
   double subgraph_y = 0.0;

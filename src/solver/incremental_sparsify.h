@@ -9,16 +9,19 @@
 // and reweighted to w_e/p_e, which keeps E[L_H] = L_G while concentrating by
 // matrix Chernoff because stretch upper-bounds relative leverage.
 //
-// Input and output weights are conductances.  The low-stretch subgraph,
-// its spanning trees and every str(e) are computed once on the
-// resistances 1/w, so str(e) = w_e · Σ_path 1/w_f, the stretch that
-// bounds leverage.
+// Ĝ is the maximum-conductance spanning tree: the MST in resistance lengths
+// 1/w.  Its measured total stretch was lower than that of Theorem 5.9's
+// LSSubgraph on every weighted input and every benchmark graph tried, so
+// the LSSubgraph is not built here; src/lsst/ keeps it for the Section 4–5
+// experiments.  Input and output weights are conductances; the tree and
+// every str(e) = w_e · Σ_path 1/w_f are computed once on the resistances.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/edge_list.h"
+#include "graph/stretch.h"
 #include "lsst/ls_subgraph.h"
 
 namespace parsdd {
@@ -41,15 +44,15 @@ struct SparsifyOptions {
   /// the scaled subgraph dominate every sampled term, at the cost of a
   /// weaker lower bound (H ≼ (scale+2)·A).
   double subgraph_scale = 1.0;
-  /// Also consider the maximum-conductance spanning tree (the MST in
-  /// resistance lengths) as Ĝ: keep whichever of it and the LSSubgraph
-  /// output has the lower measured stretch.  AKPW bounds stretch only on
-  /// average up to polylog factors; on high-contrast weights the MST is
-  /// nearly stretch-1 (a 20² two-level grid at contrast 1e4: average 1.2
-  /// against ~160).  Costs one Kruskal and one stretch pass.
-  bool include_mst = true;
-  /// Options for the inner LSSubgraph call.
+  /// Unread: Ĝ is the maximum-conductance tree.  Kept so that callers
+  /// which still set it, such as perfbench's traced replay, compile.
   LsSubgraphOptions subgraph;
+};
+
+/// Ĝ and the stretch of every input edge over it, in resistance lengths.
+struct SparsifyTree {
+  std::vector<std::uint8_t> in_tree;  // per input edge
+  StretchStats stretch;
 };
 
 struct SparsifyResult {
@@ -62,6 +65,16 @@ struct SparsifyResult {
   /// Total stretch of G w.r.t. Ĝ (the m·S of Lemma 6.1).
   double total_stretch = 0.0;
 };
+
+/// The maximum-conductance spanning tree of (V=[0,n), edges) and every
+/// edge's stretch over it; input must be connected.
+SparsifyTree max_conductance_tree(std::uint32_t n, const EdgeList& edges);
+
+/// Samples H against a tree built by max_conductance_tree on the same
+/// edges, so a caller that samples at several κ builds the tree once.
+SparsifyResult incremental_sparsify(std::uint32_t n, const EdgeList& edges,
+                                    const SparsifyTree& tree,
+                                    const SparsifyOptions& opts);
 
 /// Builds the incremental sparsifier of (V=[0,n), edges); input must be
 /// connected.

@@ -176,7 +176,9 @@ TEST(BatchSolve, ConcurrentSolvesAgainstSharedSetup) {
 
 TEST(SolverSetup, DirectApiReportsSetupShape) {
   GeneratedGraph g = grid2d(16, 16);
-  SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges);
+  SddSolverOptions opts;
+  opts.chain.mode = ChainMode::kSampled;
+  SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges, opts);
   EXPECT_EQ(setup.dimension(), g.n);
   EXPECT_EQ(setup.num_components(), 1u);
   EXPECT_GE(setup.chain_levels(), 2u);

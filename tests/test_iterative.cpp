@@ -1,6 +1,11 @@
 // CG, flexible PCG, Chebyshev, Jacobi, and pencil eigenvalue estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "graph/generators.h"
 #include "kernels/kernels.h"
 #include "linalg/cg.h"
@@ -116,6 +121,193 @@ TEST(Cg, FlexibleModeHandlesVariablePreconditioner) {
   o.max_iterations = 2000;
   IterStats st = block_conjugate_gradient(block_op_of(lap), b, x, o, &pre)[0];
   EXPECT_TRUE(st.converged);
+}
+
+// The loop block_conjugate_gradient ran before it tested the residual
+// ahead of preconditioning it: every pass ends with a preconditioner
+// application, including the last, whose z no step reads.  Kept verbatim
+// as the reference for the bitwise comparison below.
+std::vector<IterStats> reference_block_cg(const BlockLinOp& a,
+                                          const MultiVec& b, MultiVec& x,
+                                          const CgOptions& opts,
+                                          const BlockLinOp* precond) {
+  std::size_t n = b.rows(), k = b.cols();
+  std::vector<IterStats> stats(k);
+  BlockScratch s;
+  ensure_shape(s.r, n, k);
+  ensure_shape(s.z, n, k);
+  ensure_shape(s.p, n, k);
+  ensure_shape(s.ap, n, k);
+  if (opts.flexible) ensure_shape(s.r_prev, n, k);
+  ensure_shape(x, n, k);
+  const ColScalars minus_one(k, -1.0);
+  a(x, s.ap);
+  kernels::copy_cols(b, s.r);
+  kernels::axpy_cols(minus_one, s.ap, s.r);
+  if (opts.project_constant) kernels::project_out_constant_cols(s.r);
+  ColScalars bnorm = kernels::norm2_cols(b);
+  ColMask alive(k, 1);
+  std::size_t remaining = k;
+  for (std::size_t c = 0; c < k; ++c) {
+    if (bnorm[c] == 0.0) {
+      for (std::size_t i = 0; i < n; ++i) x.at(i, c) = 0.0;
+      stats[c].converged = true;
+      alive[c] = 0;
+      --remaining;
+    }
+  }
+  auto apply_precond = [&](const MultiVec& in, MultiVec& out) {
+    if (precond) {
+      (*precond)(in, out);
+      if (opts.project_constant) kernels::project_out_constant_cols(out);
+    } else {
+      ensure_shape(out, in.rows(), in.cols());
+      kernels::copy_cols(in, out);
+    }
+  };
+  apply_precond(s.r, s.z);
+  kernels::copy_cols(s.z, s.p);
+  ColScalars rz = kernels::dot_cols(s.r, s.z);
+  ColScalars alpha(k, 0.0), beta(k, 0.0);
+  for (std::uint32_t it = 0; it < opts.max_iterations && remaining > 0; ++it) {
+    ColScalars rnorm = kernels::norm2_cols(s.r);
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!alive[c]) continue;
+      stats[c].relative_residual = rnorm[c] / bnorm[c];
+      if (stats[c].relative_residual <= opts.tolerance) {
+        stats[c].converged = true;
+        alive[c] = 0;
+        --remaining;
+      }
+    }
+    if (remaining == 0) break;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (alive[c]) ++stats[c].iterations;
+    }
+    a(s.p, s.ap);
+    ColScalars pap = kernels::dot_cols(s.p, s.ap);
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!alive[c]) continue;
+      if (!(pap[c] > 0.0)) {
+        alive[c] = 0;
+        --remaining;
+        alpha[c] = 0.0;
+      } else {
+        alpha[c] = rz[c] / pap[c];
+      }
+    }
+    if (remaining == 0) break;
+    kernels::axpy_cols(alpha, s.p, x, &alive);
+    if (opts.flexible) kernels::copy_cols(s.r, s.r_prev, &alive);
+    ColScalars neg_alpha(k);
+    for (std::size_t c = 0; c < k; ++c) neg_alpha[c] = -alpha[c];
+    kernels::axpy_cols(neg_alpha, s.ap, s.r, &alive);
+    if (opts.project_constant) kernels::project_out_constant_cols(s.r, &alive);
+    apply_precond(s.r, s.z);
+    ColScalars rz_next;
+    if (opts.flexible) {
+      ColScalars num = kernels::dot_diff_cols(s.z, s.r, s.r_prev);
+      rz_next = kernels::dot_cols(s.r, s.z);
+      for (std::size_t c = 0; c < k; ++c) beta[c] = num[c] / rz[c];
+    } else {
+      rz_next = kernels::dot_cols(s.r, s.z);
+      for (std::size_t c = 0; c < k; ++c) beta[c] = rz_next[c] / rz[c];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!alive[c]) continue;
+      if (!std::isfinite(beta[c])) {
+        alive[c] = 0;
+        --remaining;
+        continue;
+      }
+      if (beta[c] < 0.0) beta[c] = 0.0;
+      rz[c] = rz_next[c];
+    }
+    kernels::xpay_cols(s.z, beta, s.p, &alive);
+  }
+  ColScalars rnorm = kernels::norm2_cols(s.r);
+  for (std::size_t c = 0; c < k; ++c) {
+    if (stats[c].converged) continue;
+    if (bnorm[c] == 0.0) continue;
+    stats[c].relative_residual = rnorm[c] / bnorm[c];
+    stats[c].converged = stats[c].relative_residual <= opts.tolerance;
+  }
+  return stats;
+}
+
+// Testing the residual before preconditioning it changes no bit of x or of
+// the stats, and saves exactly one preconditioner application per solve
+// that stops on the tolerance or the cap: with no preconditioner, a fixed
+// one (Jacobi) and a varying one (three inner CG steps), plain and
+// flexible, at a cap of 4 and at convergence, on a block with a zero
+// column and columns that converge at different iterations.
+TEST(Cg, MatchesPreconditionEveryIterationReferenceBitwise) {
+  GeneratedGraph g = grid2d(12, 12);
+  randomize_weights_log_uniform(g.edges, 100.0, 4);
+  CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
+  BlockLinOp a = block_op_of(lap);
+  Vec dipole(g.n, 0.0);
+  dipole[0] = 1.0;
+  dipole[g.n - 1] = -1.0;
+  MultiVec b = MultiVec::from_columns(
+      {random_unit_like(g.n, 21), Vec(g.n, 0.0), dipole});
+  BlockLinOp jacobi = jacobi_preconditioner_block(lap);
+  BlockLinOp inner_cg = [&](const MultiVec& in, MultiVec& out) {
+    CgOptions io;
+    io.max_iterations = 3;
+    io.tolerance = 0.0;
+    io.project_constant = true;
+    out.assign(in.rows(), in.cols(), 0.0);
+    block_conjugate_gradient(a, in, out, io, &jacobi);
+  };
+  const BlockLinOp* precs[] = {nullptr, &jacobi, &inner_cg};
+  for (int pi = 0; pi < 3; ++pi) {
+    for (bool flexible : {false, true}) {
+      for (std::uint32_t cap : {4u, 5000u}) {
+        SCOPED_TRACE("precond " + std::to_string(pi) + " flexible " +
+                     std::to_string(flexible) + " cap " + std::to_string(cap));
+        CgOptions o;
+        o.tolerance = 1e-9;
+        o.project_constant = true;
+        o.flexible = flexible;
+        o.max_iterations = cap;
+        int calls = 0, ref_calls = 0;
+        BlockLinOp counted = [&](const MultiVec& in, MultiVec& out) {
+          ++calls;
+          (*precs[pi])(in, out);
+        };
+        BlockLinOp ref_counted = [&](const MultiVec& in, MultiVec& out) {
+          ++ref_calls;
+          (*precs[pi])(in, out);
+        };
+        MultiVec x(g.n, 3, 0.0), x_ref(g.n, 3, 0.0);
+        std::vector<IterStats> st = block_conjugate_gradient(
+            a, b, x, o, precs[pi] ? &counted : nullptr);
+        std::vector<IterStats> ref = reference_block_cg(
+            a, b, x_ref, o, precs[pi] ? &ref_counted : nullptr);
+        ASSERT_EQ(x.data().size(), x_ref.data().size());
+        EXPECT_EQ(0, std::memcmp(x.data().data(), x_ref.data().data(),
+                                 x.data().size() * sizeof(double)));
+        std::uint32_t most = 0;
+        for (std::size_t c = 0; c < 3; ++c) {
+          EXPECT_EQ(st[c].iterations, ref[c].iterations) << "column " << c;
+          EXPECT_EQ(st[c].converged, ref[c].converged) << "column " << c;
+          EXPECT_EQ(0, std::memcmp(&st[c].relative_residual,
+                                   &ref[c].relative_residual, sizeof(double)))
+              << "column " << c;
+          most = std::max(most, st[c].iterations);
+        }
+        if (cap == 5000) {
+          EXPECT_TRUE(st[0].converged && st[1].converged && st[2].converged);
+          EXPECT_NE(st[0].iterations, st[2].iterations);
+        }
+        if (precs[pi]) {
+          EXPECT_EQ(static_cast<std::uint32_t>(calls), most);
+          EXPECT_EQ(ref_calls, calls + 1);
+        }
+      }
+    }
+  }
 }
 
 TEST(Chebyshev, ConvergesWithTrueBoundsOnDiagonal) {

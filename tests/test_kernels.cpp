@@ -552,11 +552,12 @@ TEST(Kernels, BlockColumnsEqualSingleSolvesBitwise) {
 // every PARSDD_SIMD setting.  The env var is latched on first backend()
 // use, so each configuration runs in a child process.
 
-// Child mode: default-options chain solves, raw solution bytes dumped to
-// the env-named file.  A k = 1 solve on a grid runs the one-column routes;
-// a k = 17 block solve on a 3-D grid whose chain has two levels runs the
-// 16- and 8-column vector bodies and the remainder column of every column
-// kernel, SpMM and fold/backsub chunk.  Also a smoke test under plain ctest.
+// Child mode: chain solves, raw solution bytes dumped to the env-named
+// file.  A default-options k = 1 solve on a grid runs the one-column
+// routes; a k = 17 block solve on a 3-D grid whose kSampled chain has five
+// levels and a dense bottom runs the 16- and 8-column vector bodies and the
+// remainder column of every column kernel, SpMM, fold/backsub chunk and
+// the bottom solve.  Also a smoke test under plain ctest.
 TEST(KernelsChild, SolveAndDump) {
   GeneratedGraph g = grid2d(24, 24);
   SolverSetup setup = SolverSetup::for_laplacian(g.n, g.edges);
@@ -565,8 +566,10 @@ TEST(KernelsChild, SolveAndDump) {
   StatusOr<Vec> x = setup.solve(b);
   ASSERT_TRUE(x.ok()) << x.status().to_string();
 
-  GeneratedGraph g3 = grid3d(12, 12, 12);
-  SolverSetup setup3 = SolverSetup::for_laplacian(g3.n, g3.edges);
+  GeneratedGraph g3 = grid3d(8, 8, 8);
+  SddSolverOptions sampled;
+  sampled.chain.mode = ChainMode::kSampled;
+  SolverSetup setup3 = SolverSetup::for_laplacian(g3.n, g3.edges, sampled);
   ASSERT_GE(setup3.chain_levels(), 2u);
   MultiVec b3 = filled(778, g3.n, 17);
   kernels::project_out_constant_cols(b3);
