@@ -1,6 +1,8 @@
 #include "graph/edge_list.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
 
 #include "graph/union_find.h"
 #include "parallel/primitives.h"
@@ -100,20 +102,40 @@ void save_edges(serialize::Writer& w, const EdgeList& edges) {
   w.pod_vec(weights);
 }
 
-EdgeList load_edges(serialize::Reader& r) {
-  std::vector<std::uint32_t> endpoints = r.pod_vec<std::uint32_t>();
-  std::vector<double> weights = r.pod_vec<double>();
-  EdgeList edges;
-  if (!r.status().ok()) return edges;
-  if (endpoints.size() != 2 * weights.size()) {
+EdgeListView load_edges_view(serialize::Reader& r) {
+  EdgeListView view{r.pod_view<std::uint32_t>(), r.pod_view<double>()};
+  if (r.status().ok() && view.endpoints.size != 2 * view.weights.size) {
     r.fail("edge endpoint/weight arrays disagree on length");
-    return edges;
   }
-  edges.resize(weights.size());
+  return r.status().ok() ? view : EdgeListView{};
+}
+
+// Edge opens with u then v, so one edge's endpoint pair is its first 8
+// bytes: one copy or compare each.
+static_assert(offsetof(Edge, u) == 0 && offsetof(Edge, v) == 4);
+
+EdgeList EdgeListView::decode() const {
+  EdgeList edges(size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    edges[i] = Edge{endpoints[2 * i], endpoints[2 * i + 1], weights[i]};
+    std::memcpy(static_cast<void*>(&edges[i]), endpoints.bytes + 8 * i, 8);
+    std::memcpy(&edges[i].w, weights.bytes + 8 * i, 8);
   }
   return edges;
+}
+
+bool EdgeListView::matches(const EdgeList& edges) const {
+  if (edges.size() != size()) return false;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (std::memcmp(&edges[i], endpoints.bytes + 8 * i, 8) != 0 ||
+        std::memcmp(&edges[i].w, weights.bytes + 8 * i, 8) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+EdgeList load_edges(serialize::Reader& r) {
+  return load_edges_view(r).decode();
 }
 
 }  // namespace parsdd

@@ -9,12 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace parsdd {
+#include "util/serialize.h"
 
-namespace serialize {
-class Writer;
-class Reader;
-}  // namespace serialize
+namespace parsdd {
 
 /// An undirected weighted edge.  Self-loops (u == v) are disallowed in
 /// normalized lists; parallel edges are allowed unless combined explicitly.
@@ -68,5 +65,23 @@ void pack_edges(const EdgeList& edges, std::vector<std::uint32_t>& endpoints,
 /// POD spans, so Edge's struct padding never reaches the byte stream.
 void save_edges(serialize::Writer& w, const EdgeList& edges);
 EdgeList load_edges(serialize::Reader& r);
+
+/// save_edges' two spans read in place (valid while the Reader lives), so
+/// a loader can check a serialized list against one it already holds
+/// before deciding to decode it.
+struct EdgeListView {
+  serialize::Reader::PodView<std::uint32_t> endpoints;
+  serialize::Reader::PodView<double> weights;
+
+  std::size_t size() const { return weights.size; }
+  Edge operator[](std::size_t i) const {
+    return Edge{endpoints[2 * i], endpoints[2 * i + 1], weights[i]};
+  }
+  EdgeList decode() const;
+  /// True when `edges` encodes to exactly these bytes.
+  bool matches(const EdgeList& edges) const;
+};
+/// Fails `r` (and returns an empty view) if the spans disagree on length.
+EdgeListView load_edges_view(serialize::Reader& r);
 
 }  // namespace parsdd

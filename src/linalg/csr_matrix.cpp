@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
@@ -180,13 +181,39 @@ void CsrMatrix::save(serialize::Writer& w) const {
   w.pod_vec(val_);
 }
 
-CsrMatrix CsrMatrix::load(serialize::Reader& r) {
-  CsrMatrix m;
-  m.n_ = r.u32();
-  m.off_ = r.size_vec();
-  m.col_ = r.pod_vec<std::uint32_t>();
-  m.val_ = r.pod_vec<double>();
+CsrMatrix::View CsrMatrix::load_view(serialize::Reader& r) {
+  View v;
+  v.n = r.u32();
+  // Writer::size_vec widens offsets to u64, the layout of a u64 pod span.
+  v.off = r.pod_view<std::uint64_t>();
+  v.col = r.pod_view<std::uint32_t>();
+  v.val = r.pod_view<double>();
+  return v;
+}
+
+CsrMatrix CsrMatrix::decode(const View& v, serialize::Reader& r) {
   if (!r.status().ok()) return CsrMatrix();
+  CsrMatrix m;
+  m.n_ = v.n;
+  m.off_.resize(v.off.size);
+  if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t)) {
+    if (!m.off_.empty()) {
+      std::memcpy(m.off_.data(), v.off.bytes, m.off_.size() * sizeof(std::size_t));
+    }
+  } else {
+    for (std::size_t i = 0; i < m.off_.size(); ++i) {
+      m.off_[i] = static_cast<std::size_t>(v.off[i]);
+    }
+  }
+  m.col_.resize(v.col.size);
+  m.val_.resize(v.val.size);
+  if (!m.col_.empty()) {
+    std::memcpy(m.col_.data(), v.col.bytes,
+                m.col_.size() * sizeof(std::uint32_t));
+  }
+  if (!m.val_.empty()) {
+    std::memcpy(m.val_.data(), v.val.bytes, m.val_.size() * sizeof(double));
+  }
   if (m.n_ == 0 && m.off_.empty()) {
     // A default-constructed (never built) matrix round-trips as-is.
     if (!m.col_.empty() || !m.val_.empty()) {
@@ -209,6 +236,33 @@ CsrMatrix CsrMatrix::load(serialize::Reader& r) {
     return CsrMatrix();
   }
   return m;
+}
+
+CsrMatrix CsrMatrix::load(serialize::Reader& r) {
+  View v = load_view(r);
+  return decode(v, r);
+}
+
+bool CsrMatrix::matches(const View& v) const {
+  if (v.n != n_ || v.off.size != off_.size() || v.col.size != col_.size() ||
+      v.val.size != val_.size()) {
+    return false;
+  }
+  if constexpr (sizeof(std::size_t) == sizeof(std::uint64_t)) {
+    if (!off_.empty() &&
+        std::memcmp(v.off.bytes, off_.data(), off_.size() * sizeof(std::size_t)) != 0) {
+      return false;
+    }
+  } else {
+    for (std::size_t i = 0; i < off_.size(); ++i) {
+      if (v.off[i] != off_[i]) return false;
+    }
+  }
+  return (col_.empty() || std::memcmp(v.col.bytes, col_.data(),
+                                      col_.size() * sizeof(std::uint32_t)) ==
+                             0) &&
+         (val_.empty() || std::memcmp(v.val.bytes, val_.data(),
+                                      val_.size() * sizeof(double)) == 0);
 }
 
 }  // namespace parsdd

@@ -69,6 +69,21 @@ class CsrMatrix {
   void save(serialize::Writer& w) const;
   static CsrMatrix load(serialize::Reader& r);
 
+  /// save()'s arrays read in place (valid while the Reader lives), so a
+  /// loader can check a serialized matrix against one it already holds
+  /// before deciding to decode it.
+  struct View {
+    std::uint32_t n = 0;
+    serialize::Reader::PodView<std::uint64_t> off;
+    serialize::Reader::PodView<std::uint32_t> col;
+    serialize::Reader::PodView<double> val;
+  };
+  static View load_view(serialize::Reader& r);
+  /// Decodes `v` with load()'s validation, failing `r` on a violation.
+  static CsrMatrix decode(const View& v, serialize::Reader& r);
+  /// True when this matrix saves to exactly the bytes `v` views.
+  bool matches(const View& v) const;
+
   /// Row access for algorithms that need to walk the structure.
   std::span<const std::uint32_t> row_cols(std::uint32_t i) const {
     return {col_.data() + off_[i], off_[i + 1] - off_[i]};

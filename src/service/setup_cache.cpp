@@ -37,11 +37,13 @@ class Mix {
 
 void mix_options(Mix& m, const SddSolverOptions& o) {
   m << o.tolerance << o.max_iterations << static_cast<std::uint32_t>(o.method);
+  // ChainOptions' LSSubgraph fields (lambda, theta, subgraph_y/z) are left
+  // out: build_chain does not read them, so requests that differ only
+  // there build identical setups and should share one.
   const ChainOptions& c = o.chain;
   m << c.seed << static_cast<std::uint32_t>(c.mode) << c.kappa
     << c.kappa_growth << c.bottom_size << c.max_levels << c.oversample
-    << c.p_floor << c.subgraph_scale << c.lambda << c.theta << c.subgraph_y
-    << c.subgraph_z;
+    << c.p_floor << c.subgraph_scale;
   const RecursiveSolverOptions& r = o.recursion;
   m << static_cast<std::uint32_t>(r.inner) << r.inner_tolerance
     << r.inner_max_iterations << r.inner_iterations << r.kappa_cap

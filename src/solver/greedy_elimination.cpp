@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -198,20 +200,20 @@ void GreedyEliminationResult::back_substitute_block(const MultiVec& folded_b,
   kernels::backsub_steps(steps.data(), steps.size(), folded_b, x);
 }
 
+// A step's four ids and its three weights are each contiguous in the
+// struct, in the order the snapshot's two spans list them, so a step is
+// written and read as two byte runs.
+static_assert(offsetof(EliminationStep, v) == 0 &&
+              offsetof(EliminationStep, u2) == 12 &&
+              offsetof(EliminationStep, w1) == 16 &&
+              offsetof(EliminationStep, pivot) == 32);
+
 void GreedyEliminationResult::save(serialize::Writer& w) const {
-  std::vector<std::uint32_t> ids(4 * steps.size());
-  std::vector<double> weights(3 * steps.size());
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    ids[4 * i] = steps[i].v;
-    ids[4 * i + 1] = steps[i].degree;
-    ids[4 * i + 2] = steps[i].u1;
-    ids[4 * i + 3] = steps[i].u2;
-    weights[3 * i] = steps[i].w1;
-    weights[3 * i + 1] = steps[i].w2;
-    weights[3 * i + 2] = steps[i].pivot;
-  }
-  w.pod_vec(ids);
-  w.pod_vec(weights);
+  // The two pod spans {v, degree, u1, u2}* and {w1, w2, pivot}*.
+  w.varint(4 * steps.size());
+  for (const EliminationStep& s : steps) w.bytes(&s, 16);
+  w.varint(3 * steps.size());
+  for (const EliminationStep& s : steps) w.bytes(&s.w1, 24);
   w.u32(rounds);
   w.u32(reduced_n);
   save_edges(w, reduced_edges);
@@ -222,19 +224,18 @@ void GreedyEliminationResult::save(serialize::Writer& w) const {
 GreedyEliminationResult GreedyEliminationResult::load(serialize::Reader& r,
                                                       std::uint32_t n) {
   GreedyEliminationResult e;
-  std::vector<std::uint32_t> ids = r.pod_vec<std::uint32_t>();
-  std::vector<double> weights = r.pod_vec<double>();
+  serialize::Reader::PodView<std::uint32_t> ids = r.pod_view<std::uint32_t>();
+  serialize::Reader::PodView<double> weights = r.pod_view<double>();
   if (r.status().ok() &&
-      (ids.size() % 4 != 0 || weights.size() != ids.size() / 4 * 3)) {
+      (ids.size % 4 != 0 || weights.size != ids.size / 4 * 3)) {
     r.fail("elimination step arrays disagree on length");
   }
   if (r.status().ok()) {
-    e.steps.resize(ids.size() / 4);
+    e.steps.resize(ids.size / 4);
     for (std::size_t i = 0; i < e.steps.size(); ++i) {
-      e.steps[i] = EliminationStep{ids[4 * i],     ids[4 * i + 1],
-                                   ids[4 * i + 2], ids[4 * i + 3],
-                                   weights[3 * i], weights[3 * i + 1],
-                                   weights[3 * i + 2]};
+      auto* step = reinterpret_cast<unsigned char*>(&e.steps[i]);
+      std::memcpy(step, ids.bytes + 16 * i, 16);
+      std::memcpy(step + 16, weights.bytes + 24 * i, 24);
     }
   }
   e.rounds = r.u32();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -26,8 +27,12 @@ namespace {
 // both are immutable after construction, so sharing is concurrency-safe.
 struct ComponentSetup {
   std::vector<std::uint32_t> vertices;  // original ids, in local order
-  EdgeList local_edges;
-  CsrMatrix laplacian;
+  /// The component's edges and assembled Laplacian; never null.  While the
+  /// chain is current they point into its level 0, which holds these same
+  /// edges and matrix, so a setup keeps one copy; a stale or absent chain
+  /// leaves the component its own.
+  std::shared_ptr<const EdgeList> local_edges;
+  std::shared_ptr<const CsrMatrix> laplacian;
   std::shared_ptr<const SolverChain> chain;
   std::shared_ptr<RecursiveSolver> recursive;
   /// The chain was built for earlier weights than `laplacian` (stale-chain
@@ -36,10 +41,17 @@ struct ComponentSetup {
   bool chain_stale = false;
 };
 
+// Points the component's edges and Laplacian at its chain's level 0.
+void share_level0(ComponentSetup& cs) {
+  const ChainLevel& top = cs.chain->levels.front();
+  cs.local_edges = std::shared_ptr<const EdgeList>(cs.chain, &top.edges);
+  cs.laplacian = std::shared_ptr<const CsrMatrix>(cs.chain, &top.laplacian);
+}
+
 // Builds a component's solver state from its local edges: the outer
 // Laplacian and, for the chain methods, a fresh chain and its recursive
-// solver.  Chain level 0 is the Laplacian of these same edges, so the outer
-// operator is a copy of it rather than a second assembly.
+// solver.  Chain level 0 holds these same edges and their Laplacian, so the
+// outer operator is that matrix rather than a second assembly or a copy.
 void build_component(ComponentSetup& cs, const SddSolverOptions& opts) {
   std::uint32_t cn = static_cast<std::uint32_t>(cs.vertices.size());
   cs.chain.reset();
@@ -48,11 +60,12 @@ void build_component(ComponentSetup& cs, const SddSolverOptions& opts) {
   if (opts.method == SolveMethod::kChainPcg ||
       opts.method == SolveMethod::kChainRpch) {
     cs.chain = std::make_shared<const SolverChain>(
-        build_chain(cn, cs.local_edges, opts.chain));
+        build_chain(cn, *cs.local_edges, opts.chain));
     cs.recursive = std::make_shared<RecursiveSolver>(*cs.chain, opts.recursion);
-    cs.laplacian = cs.chain->levels.front().laplacian;
+    share_level0(cs);
   } else {
-    cs.laplacian = laplacian_from_edges(cn, cs.local_edges);
+    cs.laplacian = std::make_shared<const CsrMatrix>(
+        laplacian_from_edges(cn, *cs.local_edges));
   }
 }
 
@@ -87,10 +100,10 @@ struct SolverSetup::Impl {
   EdgeList assemble_global_edges() const {
     EdgeList out;
     std::size_t total = 0;
-    for (const ComponentSetup& cs : components) total += cs.local_edges.size();
+    for (const ComponentSetup& cs : components) total += cs.local_edges->size();
     out.reserve(total);
     for (const ComponentSetup& cs : components) {
-      for (const Edge& e : cs.local_edges) {
+      for (const Edge& e : *cs.local_edges) {
         out.push_back(Edge{cs.vertices[e.u], cs.vertices[e.v], e.w});
       }
     }
@@ -108,7 +121,7 @@ void SolverSetup::Impl::build(std::uint32_t num_vertices,
     // identity, so membership and relabeling collapse to parallel copies.
     components[0].vertices = tabulate<std::uint32_t>(
         n, [](std::size_t v) { return static_cast<std::uint32_t>(v); });
-    components[0].local_edges = edges;
+    components[0].local_edges = std::make_shared<const EdgeList>(edges);
   } else {
     std::vector<std::vector<std::uint32_t>> members(comps.count);
     for (std::uint32_t v = 0; v < n; ++v) {
@@ -121,17 +134,23 @@ void SolverSetup::Impl::build(std::uint32_t num_vertices,
         local[m[i]] = static_cast<std::uint32_t>(i);
       }
     }
-    for (std::uint32_t c = 0; c < comps.count; ++c) {
-      components[c].vertices = std::move(members[c]);
-    }
+    std::vector<EdgeList> local_edges(comps.count);
     for (const Edge& e : edges) {
       std::uint32_t c = comps.label[e.u];
-      components[c].local_edges.push_back(Edge{local[e.u], local[e.v], e.w});
+      local_edges[c].push_back(Edge{local[e.u], local[e.v], e.w});
+    }
+    for (std::uint32_t c = 0; c < comps.count; ++c) {
+      components[c].vertices = std::move(members[c]);
+      components[c].local_edges =
+          std::make_shared<const EdgeList>(std::move(local_edges[c]));
     }
   }
   for (auto& cs : components) {
-    if (cs.vertices.size() < 2) continue;  // isolated vertex: solution 0
-    build_component(cs, opts);
+    if (cs.vertices.size() >= 2) {
+      build_component(cs, opts);
+    } else {  // isolated vertex: solution 0
+      cs.laplacian = std::make_shared<const CsrMatrix>();
+    }
   }
 }
 
@@ -168,20 +187,20 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
         RecursiveSolver::Workspace ws = cs.recursive->make_workspace();
         st = cs.recursive->solve_batch(cb, cx, opts.tolerance,
                                        opts.max_iterations, ws,
-                                       &cs.laplacian);
+                                       cs.laplacian.get());
         break;
       }
       case SolveMethod::kChainRpch: {
         RecursiveSolver::Workspace ws = cs.recursive->make_workspace();
         st = cs.recursive->solve_rpch_batch(cb, cx, opts.tolerance,
                                             opts.max_iterations, ws,
-                                            &cs.laplacian);
+                                            cs.laplacian.get());
         break;
       }
       case SolveMethod::kCg: {
         BlockLinOp a_op = [&cs](const MultiVec& in, MultiVec& out) {
           ensure_shape(out, in.rows(), in.cols());
-          cs.laplacian.multiply(in, out);
+          cs.laplacian->multiply(in, out);
         };
         CgOptions copts;
         copts.tolerance = opts.tolerance;
@@ -193,9 +212,9 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
       case SolveMethod::kJacobiPcg: {
         BlockLinOp a_op = [&cs](const MultiVec& in, MultiVec& out) {
           ensure_shape(out, in.rows(), in.cols());
-          cs.laplacian.multiply(in, out);
+          cs.laplacian->multiply(in, out);
         };
-        BlockLinOp pre = jacobi_preconditioner_block(cs.laplacian);
+        BlockLinOp pre = jacobi_preconditioner_block(*cs.laplacian);
         CgOptions copts;
         copts.tolerance = opts.tolerance;
         copts.max_iterations = opts.max_iterations;
@@ -357,7 +376,7 @@ StatusOr<DeltaPlan> classify_deltas(std::uint32_t n,
   auto ensure_live = [&](std::size_t c) {
     if (live_built[c]) return;
     live_built[c] = 1;
-    for (const Edge& e : comps[c].local_edges) ++live[c][edge_key(e.u, e.v)];
+    for (const Edge& e : *comps[c].local_edges) ++live[c][edge_key(e.u, e.v)];
   };
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     const EdgeDelta& d = deltas[i];
@@ -511,24 +530,21 @@ StatusOr<SolverSetup> SolverSetup::update(const std::vector<EdgeDelta>& deltas,
     out.impl_->n = impl_->n;
     out.impl_->components.reserve(impl_->components.size());
     for (std::size_t c = 0; c < impl_->components.size(); ++c) {
-      const ComponentSetup& cs = impl_->components[c];
-      ComponentSetup nc;
-      nc.vertices = cs.vertices;
-      nc.local_edges = cs.local_edges;
-      nc.laplacian = cs.laplacian;
-      nc.chain = cs.chain;          // shared: chains are immutable
-      nc.recursive = cs.recursive;  // shared: stateless across solves
-      nc.chain_stale = cs.chain_stale;
+      // Edges, Laplacian and chain are immutable and the recursive solver
+      // is stateless across solves, so an untouched component is shared.
+      ComponentSetup nc = impl_->components[c];
       if (!plan->local[c].empty()) {
-        apply_deltas(nc.local_edges, plan->local[c], rep);
+        EdgeList edges = *nc.local_edges;
+        apply_deltas(edges, plan->local[c], rep);
+        nc.local_edges = std::make_shared<const EdgeList>(std::move(edges));
         // The outer CG solves against the current weights either way.
         if (plan->structural[c]) {
           // Component rebuild: a fresh chain for the new structure.
           build_component(nc, impl_->opts);
           ++rep.components_rebuilt;
         } else {
-          nc.laplacian = laplacian_from_edges(
-              static_cast<std::uint32_t>(nc.vertices.size()), nc.local_edges);
+          nc.laplacian = std::make_shared<const CsrMatrix>(laplacian_from_edges(
+              static_cast<std::uint32_t>(nc.vertices.size()), *nc.local_edges));
           // Stale-chain tier: keep preconditioning with the old chain.
           if (nc.chain) nc.chain_stale = true;
         }
@@ -695,8 +711,8 @@ void SolverSetup::save_to(serialize::Writer& w) const {
   w.varint(impl_->components.size());
   for (const ComponentSetup& cs : impl_->components) {
     w.pod_vec(cs.vertices);
-    save_edges(w, cs.local_edges);
-    cs.laplacian.save(w);
+    save_edges(w, *cs.local_edges);
+    cs.laplacian->save(w);
     w.boolean(cs.chain != nullptr);
     w.boolean(cs.chain_stale);  // v3: stale-chain tier marker
     if (cs.chain) {
@@ -737,24 +753,26 @@ StatusOr<SolverSetup> SolverSetup::load_from(serialize::Reader& r) {
   for (std::uint64_t i = 0; i < count && r.status().ok(); ++i) {
     ComponentSetup cs;
     cs.vertices = r.pod_vec<std::uint32_t>();
-    cs.local_edges = load_edges(r);
-    cs.laplacian = CsrMatrix::load(r);
+    // Read in place: with a current chain these are the bytes of its level
+    // 0, which the component then shares instead of decoding a copy.
+    EdgeListView edges = load_edges_view(r);
+    CsrMatrix::View laplacian = CsrMatrix::load_view(r);
     if (!r.status().ok()) break;
     // The solve gathers b.row(vertices[i]) from an n-row block and scatters
     // local edges over a vertices.size()-row component; both index spaces
-    // must be validated before a forged snapshot can reach them.
+    // must be validated before a forged snapshot can reach them (the edges
+    // below, unless they are the chain's already validated level 0).
     std::uint32_t cn = static_cast<std::uint32_t>(cs.vertices.size());
+    auto out_of_bounds = [&] {
+      r.fail("component " + std::to_string(i) +
+             " indexes out of bounds for the system size");
+    };
     bool ok = cs.vertices.size() <= s.impl_->n;
     for (std::size_t v = 0; ok && v < cs.vertices.size(); ++v) {
       ok = cs.vertices[v] < s.impl_->n;
     }
-    for (std::size_t e = 0; ok && e < cs.local_edges.size(); ++e) {
-      ok = cs.local_edges[e].u < cn && cs.local_edges[e].v < cn;
-    }
-    ok = ok && cs.laplacian.dimension() == (cn >= 2 ? cn : 0);
-    if (!ok) {
-      r.fail("component " + std::to_string(i) +
-             " indexes out of bounds for the system size");
+    if (!ok || laplacian.n != (cn >= 2 ? cn : 0)) {
+      out_of_bounds();
       break;
     }
     bool has_chain = r.boolean();
@@ -797,6 +815,22 @@ StatusOr<SolverSetup> SolverSetup::load_from(serialize::Reader& r) {
       }
       cs.recursive = std::make_shared<RecursiveSolver>(
           *cs.chain, s.impl_->opts.recursion, std::move(bounds));
+    }
+    if (cs.chain && edges.matches(cs.chain->levels.front().edges) &&
+        cs.chain->levels.front().laplacian.matches(laplacian)) {
+      share_level0(cs);
+    } else {
+      for (std::size_t e = 0; ok && e < edges.size(); ++e) {
+        ok = edges[e].u < cn && edges[e].v < cn;
+      }
+      if (!ok) {
+        out_of_bounds();
+        break;
+      }
+      cs.local_edges = std::make_shared<const EdgeList>(edges.decode());
+      cs.laplacian = std::make_shared<const CsrMatrix>(
+          CsrMatrix::decode(laplacian, r));
+      if (!r.status().ok()) break;
     }
     // The chain-method solve dereferences cs.recursive unconditionally for
     // every non-trivial component; a forged snapshot must not be able to

@@ -16,6 +16,16 @@
 
 namespace parsdd::serialize {
 
+namespace {
+
+std::uint64_t load_u64(const unsigned char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+}  // namespace
+
 std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -25,29 +35,26 @@ std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   // dependency chain, so a single lane caps throughput at one multiply
   // latency per word; four lanes keep the multiplier pipeline full, which is
   // what makes checksumming a multi-megabyte snapshot cheaper than reading
-  // it from the page cache.
+  // it from the page cache.  The lanes are plain locals, not an array, so
+  // they stay in registers even in instrumented (sanitizer) builds.
   if (size >= 64) {
-    std::uint64_t lane[4] = {h, h ^ 0x9e3779b97f4a7c15ull,
-                             h ^ 0xc2b2ae3d27d4eb4full, h ^ 0x165667b19e3779f9ull};
+    std::uint64_t l0 = h;
+    std::uint64_t l1 = h ^ 0x9e3779b97f4a7c15ull;
+    std::uint64_t l2 = h ^ 0xc2b2ae3d27d4eb4full;
+    std::uint64_t l3 = h ^ 0x165667b19e3779f9ull;
     for (; i + 32 <= size; i += 32) {
-      std::uint64_t w[4];
-      std::memcpy(w, p + i, 32);
-      for (int l = 0; l < 4; ++l) {
-        lane[l] ^= w[l];
-        lane[l] *= kPrime;
-      }
+      l0 = (l0 ^ load_u64(p + i)) * kPrime;
+      l1 = (l1 ^ load_u64(p + i + 8)) * kPrime;
+      l2 = (l2 ^ load_u64(p + i + 16)) * kPrime;
+      l3 = (l3 ^ load_u64(p + i + 24)) * kPrime;
     }
-    h = lane[0];
-    for (int l = 1; l < 4; ++l) {
-      h ^= lane[l];
-      h *= kPrime;
-    }
+    h = l0;
+    h = (h ^ l1) * kPrime;
+    h = (h ^ l2) * kPrime;
+    h = (h ^ l3) * kPrime;
   }
   for (; i + 8 <= size; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    h ^= w;
-    h *= kPrime;
+    h = (h ^ load_u64(p + i)) * kPrime;
   }
   for (; i < size; ++i) {
     h ^= p[i];
@@ -179,8 +186,16 @@ StatusOr<Reader> Reader::from_file(const std::string& path) {
     return InternalError("serialize: cannot stat " + path);
   }
   std::size_t size = static_cast<std::size_t>(st.st_size);
+  // Every byte is read at once (the checksum), so where the platform allows
+  // it the whole mapping is populated in one call rather than a page fault
+  // per page.
+#ifdef MAP_POPULATE
+  constexpr int kMapFlags = MAP_PRIVATE | MAP_POPULATE;
+#else
+  constexpr int kMapFlags = MAP_PRIVATE;
+#endif
   void* addr =
-      size > 0 ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0) : nullptr;
+      size > 0 ? ::mmap(nullptr, size, PROT_READ, kMapFlags, fd, 0) : nullptr;
   ::close(fd);
   if (size > 0 && addr != MAP_FAILED) {
     auto map = std::make_unique<MappedFile>(addr, size);

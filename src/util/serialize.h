@@ -17,7 +17,8 @@
 //     headers and 64-bit sizes never truncate;
 //   * bulk data (edge endpoints, CSR arrays, factor entries) is written as
 //     length-prefixed POD spans — one varint count, then the raw bytes —
-//     which load as a single bounds-checked memcpy;
+//     which load as a single bounds-checked memcpy, or are read in place
+//     through a Reader::PodView;
 //   * Writer::to_file appends a lane-parallel FNV-1a-style checksum of
 //     everything before it;
 //     Reader::from_file verifies and strips it, so any byte corruption or
@@ -150,21 +151,51 @@ class Reader {
   bool boolean();
   std::uint64_t varint();
 
+  /// A Writer::pod_span read in place: a bounds-checked view of `size`
+  /// elements' raw bytes, valid while the Reader lives.  Decoders that
+  /// unpack parallel field arrays into structs (edges, elimination steps)
+  /// read through it instead of copying each array into a temporary
+  /// vector first; elements are memcpy'd out, since the bytes carry no
+  /// alignment.
   template <typename T>
-  std::vector<T> pod_vec() {
+  struct PodView {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::uint8_t* bytes = nullptr;
+    std::size_t size = 0;
+    T operator[](std::size_t i) const {
+      T v;
+      std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
+      return v;
+    }
+  };
+
+  /// Reads a pod_span's count and consumes its bytes; an empty view on
+  /// failure.
+  template <typename T>
+  PodView<T> pod_view() {
     static_assert(std::is_trivially_copyable_v<T>);
     std::uint64_t count = varint();
-    std::vector<T> out;
-    if (!status_.ok()) return out;
-    // The count itself bounds the allocation: a corrupt length that claims
-    // more elements than the remaining bytes is rejected before reserving.
+    if (!status_.ok()) return {};
+    // The count itself bounds the view (and any allocation sized from it):
+    // a corrupt length that claims more elements than the remaining bytes
+    // is rejected here.
     if (count > (size_ - pos_) / sizeof(T)) {
       fail("element count " + std::to_string(count) +
            " exceeds remaining bytes");
-      return out;
+      return {};
     }
-    out.resize(static_cast<std::size_t>(count));
-    raw(out.data(), out.size() * sizeof(T));
+    PodView<T> view{data_ + pos_, static_cast<std::size_t>(count)};
+    pos_ += view.size * sizeof(T);
+    return view;
+  }
+
+  template <typename T>
+  std::vector<T> pod_vec() {
+    PodView<T> view = pod_view<T>();
+    std::vector<T> out(view.size);
+    if (view.size != 0) {
+      std::memcpy(out.data(), view.bytes, view.size * sizeof(T));
+    }
     return out;
   }
   std::vector<std::size_t> size_vec();

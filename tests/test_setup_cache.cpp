@@ -67,6 +67,20 @@ TEST(Fingerprint, OptionFieldsSeparate) {
   EXPECT_NE(base, fingerprint_laplacian_setup(g.n, g.edges, seeded));
 }
 
+TEST(Fingerprint, UnreadLsSubgraphOptionsShareAKey) {
+  // build_chain ignores ChainOptions' LSSubgraph fields, so they must not
+  // split the cache.
+  GeneratedGraph g = grid2d(5, 5);
+  SddSolverOptions opts;
+  SddSolverOptions unread = opts;
+  unread.chain.lambda += 1;
+  unread.chain.theta *= 2.0;
+  unread.chain.subgraph_y = 3.0;
+  unread.chain.subgraph_z = 4.0;
+  EXPECT_EQ(fingerprint_laplacian_setup(g.n, g.edges, opts),
+            fingerprint_laplacian_setup(g.n, g.edges, unread));
+}
+
 TEST(Fingerprint, LaplacianAndSddNeverAlias) {
   // An SDD registration of the Laplacian matrix itself must not collide
   // with the Laplacian registration of the generating graph: the builds
