@@ -31,9 +31,9 @@ int main() {
 
   CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
   double rel = kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b);
-  std::printf("solved: iterations=%u levels=%u chain_edges=%zu\n",
-              report.stats.iterations, report.chain_levels,
-              report.chain_edges);
+  std::printf("solved: iterations=%u (lead-in %u) levels=%u chain_edges=%zu\n",
+              report.stats.iterations, report.lead_in_iterations,
+              report.chain_levels, report.chain_edges);
   std::printf("relative residual: %.3e (converged=%s)\n", rel,
               report.stats.converged ? "yes" : "no");
   return rel < 1e-6 ? 0 : 1;

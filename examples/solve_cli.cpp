@@ -157,9 +157,10 @@ int main(int argc, char** argv) {
   CsrMatrix lap = laplacian_from_edges(g.n, g.edges);
   double rel = kernels::norm2(kernels::subtract(lap.apply(x), b)) / kernels::norm2(b);
   std::printf(
-      "components=%u chain_levels=%u chain_edges=%zu iterations=%u\n",
+      "components=%u chain_levels=%u chain_edges=%zu iterations=%u "
+      "lead_in=%u\n",
       rep.components, rep.chain_levels, rep.chain_edges,
-      rep.stats.iterations);
+      rep.stats.iterations, rep.lead_in_iterations);
   std::printf("relative residual %.3e (target %.0e) -> %s\n", rel, tol,
               rel <= 10 * tol ? "OK" : "NOT CONVERGED");
   return rel <= 10 * tol ? 0 : 1;

@@ -1,6 +1,7 @@
 #include "linalg/cg.h"
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace parsdd {
@@ -9,9 +10,11 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
                                                 const MultiVec& b, MultiVec& x,
                                                 const CgOptions& opts,
                                                 const BlockLinOp* precond,
-                                                BlockScratch* scratch) {
+                                                BlockScratch* scratch,
+                                                const std::vector<IterStats>*
+                                                    resume) {
   std::size_t n = b.rows(), k = b.cols();
-  std::vector<IterStats> stats(k);
+  std::vector<IterStats> stats = resume ? *resume : std::vector<IterStats>(k);
   if (k == 0) return stats;
   BlockScratch local;
   BlockScratch& s = scratch ? *scratch : local;
@@ -36,10 +39,22 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
     if (bnorm[c] == 0.0) {
       for (std::size_t i = 0; i < n; ++i) x.at(i, c) = 0.0;
       stats[c].converged = true;
+    }
+    if (stats[c].converged) {
       alive[c] = 0;
       --remaining;
     }
   }
+  std::uint32_t cap = opts.max_iterations;
+  if (opts.rate_budget > 0) cap = std::min(cap, opts.rate_budget);
+  // The rate check of a run with budget J at checkpoint s = 4, 8, 16, ….
+  auto leaves = [&opts](std::uint32_t step, double relative_residual) {
+    if (opts.rate_budget == 0 || step < 4 || (step & (step - 1)) != 0) {
+      return false;
+    }
+    double exponent = static_cast<double>(step) / opts.rate_budget;
+    return relative_residual > std::pow(opts.tolerance, exponent);
+  };
 
   auto apply_precond = [&](const MultiVec& in, MultiVec& out) {
     if (precond) {
@@ -54,7 +69,8 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
 
   // Each pass tests the current r before preconditioning it, so the loop
   // never computes a z that no later step reads: the last pass stops on the
-  // tolerance or the iteration cap without a preconditioner application.
+  // tolerance, the iteration cap or the rate check without a preconditioner
+  // application.
   for (std::uint32_t it = 0;; ++it) {
     ColScalars rnorm = kernels::norm2_cols(s.r);
     for (std::size_t c = 0; c < k; ++c) {
@@ -64,9 +80,13 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
         stats[c].converged = true;
         alive[c] = 0;
         --remaining;
+      } else if (stats[c].iterations >= cap ||
+                 leaves(stats[c].iterations, stats[c].relative_residual)) {
+        alive[c] = 0;
+        --remaining;
       }
     }
-    if (remaining == 0 || it == opts.max_iterations) break;
+    if (remaining == 0) break;
     apply_precond(s.r, s.z);
     if (it == 0) {
       kernels::copy_cols(s.z, s.p);
@@ -117,8 +137,9 @@ std::vector<IterStats> block_conjugate_gradient(const BlockLinOp& a,
     if (opts.project_constant) kernels::project_out_constant_cols(s.r, &alive);
   }
 
-  // Columns that hit max_iterations or broke down: their r froze with them,
-  // so the exit residual matches what a single solve would have reported.
+  // Columns that hit the cap, left on the rate check or broke down: their r
+  // froze with them, so the exit residual matches what a single solve would
+  // have reported.
   ColScalars rnorm = kernels::norm2_cols(s.r);
   for (std::size_t c = 0; c < k; ++c) {
     if (stats[c].converged) continue;

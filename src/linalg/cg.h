@@ -20,6 +20,12 @@ struct CgOptions {
   /// Use the flexible (Polak–Ribière) beta; required when the preconditioner
   /// is itself an inexact/iterative solver.
   bool flexible = false;
+  /// Iteration budget J of a rate-checked run (0 = none).  No column runs
+  /// past J iterations, and at the checkpoints s = 4, 8, 16, … a column
+  /// whose relative residual exceeds tolerance^{s/J} leaves unconverged:
+  /// its rate so far could not reach the tolerance within J.  The rule is
+  /// per column, so a block still matches its k=1 runs column for column.
+  std::uint32_t rate_budget = 0;
 };
 
 /// Solves A X = B for all columns in lockstep, starting from the given X
@@ -32,8 +38,14 @@ struct CgOptions {
 /// tested before it is preconditioned, so a k=1 solve that stops on the
 /// tolerance or the iteration cap after t iterations applies the
 /// preconditioner t times, not t+1.  Returns one IterStats per column.
+///
+/// `resume`, if non-null, holds one IterStats per column from an earlier
+/// run that left x where this one starts: a converged column stays frozen
+/// with its earlier stats, and every other column counts on from its
+/// earlier iterations, max_iterations capping the total per column.
 std::vector<IterStats> block_conjugate_gradient(
     const BlockLinOp& a, const MultiVec& b, MultiVec& x, const CgOptions& opts,
-    const BlockLinOp* precond = nullptr, BlockScratch* scratch = nullptr);
+    const BlockLinOp* precond = nullptr, BlockScratch* scratch = nullptr,
+    const std::vector<IterStats>* resume = nullptr);
 
 }  // namespace parsdd

@@ -2,6 +2,7 @@
 #include "kernels/kernels.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "parallel/primitives.h"
 
@@ -39,20 +40,31 @@ IterStats jacobi(const CsrMatrix& a, const Vec& b, Vec& x,
   return stats;
 }
 
-BlockLinOp jacobi_preconditioner_block(const CsrMatrix& a) {
+std::optional<Vec> inverse_diagonal(const CsrMatrix& a) {
   Vec d = a.diagonal();
   for (double& v : d) {
-    if (!(v > 0.0)) throw std::domain_error("jacobi: non-positive diagonal");
+    if (!(v > 0.0)) return std::nullopt;
+    v = 1.0 / v;
   }
-  return [d](const MultiVec& in, MultiVec& out) {
+  return d;
+}
+
+BlockLinOp diagonal_scaling_block(Vec inv_d) {
+  return [inv_d = std::move(inv_d)](const MultiVec& in, MultiVec& out) {
     ensure_shape(out, in.rows(), in.cols());
     std::size_t k = in.cols();
     parallel_for(0, in.rows(), [&](std::size_t i) {
       const double* ir = in.row(i);
       double* orow = out.row(i);
-      for (std::size_t c = 0; c < k; ++c) orow[c] = ir[c] / d[i];
+      for (std::size_t c = 0; c < k; ++c) orow[c] = ir[c] * inv_d[i];
     });
   };
+}
+
+BlockLinOp jacobi_preconditioner_block(const CsrMatrix& a) {
+  std::optional<Vec> inv_d = inverse_diagonal(a);
+  if (!inv_d) throw std::domain_error("jacobi: non-positive diagonal");
+  return diagonal_scaling_block(std::move(*inv_d));
 }
 
 }  // namespace parsdd

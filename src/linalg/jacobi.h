@@ -1,6 +1,8 @@
 // Damped Jacobi iteration — the simplest classical baseline (E8).
 #pragma once
 
+#include <optional>
+
 #include "linalg/csr_matrix.h"
 #include "linalg/iterative.h"
 
@@ -17,8 +19,15 @@ struct JacobiOptions {
 IterStats jacobi(const CsrMatrix& a, const Vec& b, Vec& x,
                  const JacobiOptions& opts);
 
+/// The entrywise inverse of A's diagonal; nullopt when an entry is not
+/// positive, where the Jacobi preconditioner is undefined.
+std::optional<Vec> inverse_diagonal(const CsrMatrix& a);
+
+/// Scales row i of every column of the block by inv_d[i].
+BlockLinOp diagonal_scaling_block(Vec inv_d);
+
 /// The diagonal (Jacobi) preconditioner of A: scales every column of the
-/// block by the inverse diagonal.
+/// block by the inverse diagonal.  Throws on a non-positive diagonal.
 BlockLinOp jacobi_preconditioner_block(const CsrMatrix& a);
 
 }  // namespace parsdd

@@ -1,11 +1,15 @@
 #include "solver/recursive_solver.h"
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "linalg/cg.h"
 #include "linalg/chebyshev.h"
+#include "linalg/jacobi.h"
 #include "linalg/laplacian.h"
 
 namespace parsdd {
@@ -122,10 +126,25 @@ void RecursiveSolver::apply_block(const MultiVec& b, MultiVec& x,
   apply_level_block(0, b, x, ws);
 }
 
+std::uint32_t RecursiveSolver::lead_in_budget(const CsrMatrix& amat) const {
+  const ChainLevel& top = chain_.levels.front();
+  if (chain_.levels.size() != 1 || !top.has_preconditioner) return 0;
+  // Counted work per iteration: SpMV plus six vector passes for
+  // Jacobi-PCG, and six more per elimination step (fold and
+  // back-substitution) for the chain.
+  double w_jac = static_cast<double>(amat.num_nonzeros()) + 6.0 * top.n;
+  double w_chain =
+      w_jac + 6.0 * static_cast<double>(top.elimination.steps.size());
+  double j = std::floor(std::sqrt(top.kappa) * w_chain / (8.0 * w_jac));
+  if (!(j >= 4.0)) return 0;
+  return static_cast<std::uint32_t>(
+      std::min(j, double{std::numeric_limits<std::uint32_t>::max()}));
+}
+
 std::vector<IterStats> RecursiveSolver::solve_batch(
     const MultiVec& b, MultiVec& x, double tolerance,
-    std::uint32_t max_iterations, Workspace& ws,
-    const CsrMatrix* a_top) const {
+    std::uint32_t max_iterations, Workspace& ws, const CsrMatrix* a_top,
+    std::vector<std::uint32_t>* lead_in_iterations) const {
   const ChainLevel& top = chain_.levels.front();
   std::size_t k = b.cols();
   // Outer operator: the caller's override (stale-chain update tier) or the
@@ -138,6 +157,36 @@ std::vector<IterStats> RecursiveSolver::solve_batch(
     ensure_shape(out, in.rows(), in.cols());
     amat.multiply(in, out);
   };
+  if (x.rows() != top.n || x.cols() != k) x.assign(top.n, k, 0.0);
+  if (lead_in_iterations) lead_in_iterations->assign(k, 0);
+  // The top-level CGs can safely borrow level 0's iteration scratch: the
+  // preconditioner recursion starts at the fold of level 0 (or the bottom
+  // solve), neither of which touches levels[0].iter.
+  BlockScratch& scratch = ws.levels.front().iter;
+  std::vector<IterStats> lead_in;
+  std::uint32_t budget = lead_in_budget(amat);
+  std::optional<Vec> inv_d;
+  if (budget > 0) inv_d = inverse_diagonal(amat);
+  if (chain_.levels.size() == 1 && !top.has_preconditioner) {
+    // Bottom-only chain: warm-start x with the dense direct solve.
+    apply_block(b, x, ws);
+  } else if (inv_d) {
+    // Jacobi-PCG lead-in, rate-checked against its budget J: columns it
+    // converges are done, the others go on to the chain from its iterate.
+    BlockLinOp jacobi = diagonal_scaling_block(std::move(*inv_d));
+    CgOptions lopts;
+    lopts.tolerance = tolerance;
+    lopts.max_iterations = max_iterations;
+    lopts.project_constant = true;
+    lopts.rate_budget = budget;
+    lead_in = block_conjugate_gradient(a_op, b, x, lopts, &jacobi, &scratch);
+    bool all_converged = true;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (lead_in_iterations) (*lead_in_iterations)[c] = lead_in[c].iterations;
+      all_converged = all_converged && lead_in[c].converged;
+    }
+    if (all_converged) return lead_in;
+  }
   // Precondition the top-level Krylov method with the *B₁ solve* directly
   // (fold through the elimination, recursively solve A₂, back-substitute);
   // apply_block would re-iterate on A₁ redundantly.
@@ -156,21 +205,8 @@ std::vector<IterStats> RecursiveSolver::solve_batch(
   copts.max_iterations = max_iterations;
   copts.project_constant = true;
   copts.flexible = true;
-  if (x.rows() != top.n || x.cols() != k) x.assign(top.n, k, 0.0);
-  if (chain_.levels.size() == 1) {
-    // One-level chain: warm-start x with one application of level 0.  On a
-    // bottom-only chain that is the dense direct solve.  On the default,
-    // fully eliminated chain it is an inner preconditioned FCG run
-    // (opts_.inner_tolerance, opts_.inner_max_iterations: 0.1 and 40 by
-    // default) whose iterations no report counts.  Columns it already
-    // converged freeze at the first CG convergence check.
-    apply_block(b, x, ws);
-  }
-  // The top-level CG can safely borrow level 0's iteration scratch: the
-  // preconditioner recursion starts at the fold of level 0 (or the bottom
-  // solve), neither of which touches levels[0].iter.
-  return block_conjugate_gradient(a_op, b, x, copts, &precond,
-                                  &ws.levels.front().iter);
+  return block_conjugate_gradient(a_op, b, x, copts, &precond, &scratch,
+                                  lead_in.empty() ? nullptr : &lead_in);
 }
 
 std::vector<IterStats> RecursiveSolver::solve_rpch_batch(

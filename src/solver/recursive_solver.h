@@ -10,7 +10,9 @@
 //
 // There is one recursion, over k-column blocks (a single right-hand side
 // is a k=1 block), with two top-level drivers:
-//   * solve_batch():      top-level flexible PCG to tolerance ε (production).
+//   * solve_batch():      top-level flexible PCG to tolerance ε (production),
+//                         after a rate-checked Jacobi-PCG lead-in on the
+//                         one-level tree chain.
 //   * solve_rpch_batch(): pure recursive Chebyshev — iterative refinement
 //                         with the one-pass chain operator, O(log 1/ε)
 //                         passes, matching Theorem 1.1's log(1/ε)
@@ -100,6 +102,20 @@ class RecursiveSolver {
   /// is bitwise the k=1 solve of b[:,c] alone.  Thread-safe given a
   /// private workspace.
   ///
+  /// On a one-level chain whose level 0 has a preconditioner (the default
+  /// tree chain) the solve first runs Jacobi-PCG on the outer operator for
+  /// at most J = ⌊√κ₀ · w_chain / (8 · w_jac)⌋ iterations, where κ₀ is
+  /// level 0's κ (the tree's total stretch) and w_jac = nnz(A) + 6n and
+  /// w_chain = w_jac + 6·|elimination steps| are the counted work of one
+  /// Jacobi-PCG and one chain-PCG iteration; J < 4 means no lead-in.  A
+  /// column leaves the lead-in at checkpoint s = 4, 8, 16, … when its
+  /// relative residual exceeds tolerance^{s/J}.  Columns it converges are
+  /// done; the others run the chain PCG from its iterate, and
+  /// max_iterations caps lead-in plus chain.  Each column's stats count
+  /// both, and `lead_in_iterations`, if non-null, receives the lead-in's
+  /// share per column.  A bottom-only chain instead warm-starts x with its
+  /// dense direct solve.
+  ///
   /// `a_top` overrides the outer-CG operator (default: the chain's own
   /// level-0 Laplacian).  This is the stale-chain update tier
   /// (solver_setup.h): after a small weight perturbation the caller passes
@@ -111,7 +127,9 @@ class RecursiveSolver {
                                      double tolerance,
                                      std::uint32_t max_iterations,
                                      Workspace& ws,
-                                     const CsrMatrix* a_top = nullptr) const;
+                                     const CsrMatrix* a_top = nullptr,
+                                     std::vector<std::uint32_t>*
+                                         lead_in_iterations = nullptr) const;
 
   /// Pure rPCh: iterative refinement with the chain operator until each
   /// column's relative residual reaches `tolerance` (or max_passes).
@@ -145,6 +163,9 @@ class RecursiveSolver {
   void apply_preconditioner_block(std::size_t i, const MultiVec& r,
                                   MultiVec& z, Workspace& ws) const;
   std::uint32_t level_iterations(std::size_t i) const;
+  /// The Jacobi-PCG lead-in's budget J for outer operator `amat` (see
+  /// solve_batch); 0 when the chain takes no lead-in.
+  std::uint32_t lead_in_budget(const CsrMatrix& amat) const;
 
   const SolverChain& chain_;
   RecursiveSolverOptions opts_;

@@ -163,6 +163,7 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
   if (report) {
     *report = BatchSolveReport{};
     report->column_stats.assign(k, IterStats{});
+    report->lead_in_iterations.assign(k, 0);
     report->components = static_cast<std::uint32_t>(components.size());
   }
   std::uint32_t worst_iters = 0;  // quality-monitor sample for this solve
@@ -175,6 +176,7 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
     kernels::project_out_constant_cols(cb);  // consistency for the singular Laplacian
     MultiVec cx(cn, k, 0.0);
     std::vector<IterStats> st;
+    std::vector<std::uint32_t> lead_in;
     std::uint64_t visits_before =
         cs.recursive ? cs.recursive->bottom_visits() : 0;
     switch (opts.method) {
@@ -187,7 +189,7 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
         RecursiveSolver::Workspace ws = cs.recursive->make_workspace();
         st = cs.recursive->solve_batch(cb, cx, opts.tolerance,
                                        opts.max_iterations, ws,
-                                       cs.laplacian.get());
+                                       cs.laplacian.get(), &lead_in);
         break;
       }
       case SolveMethod::kChainRpch: {
@@ -234,6 +236,10 @@ MultiVec SolverSetup::Impl::solve_batch_laplacian(
         report->column_stats[c] =
             first_component ? st[c]
                             : merge_worst(report->column_stats[c], st[c]);
+        if (!lead_in.empty()) {
+          report->lead_in_iterations[c] =
+              std::max(report->lead_in_iterations[c], lead_in[c]);
+        }
       }
       if (cs.chain) {
         report->chain_levels =
@@ -881,6 +887,7 @@ StatusOr<Vec> SolverSetup::solve(const Vec& b, SddSolveReport* report) const {
     *report = SddSolveReport{};
     if (!batch_report.column_stats.empty()) {
       report->stats = batch_report.column_stats.front();
+      report->lead_in_iterations = batch_report.lead_in_iterations.front();
     }
     report->chain_levels = batch_report.chain_levels;
     report->chain_edges = batch_report.chain_edges;

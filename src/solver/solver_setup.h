@@ -38,7 +38,9 @@
 namespace parsdd {
 
 enum class SolveMethod {
-  kChainPcg,    // flexible PCG + recursive chain preconditioner (default)
+  kChainPcg,    // flexible PCG + recursive chain preconditioner (default);
+                // the one-level tree chain first runs a rate-checked
+                // Jacobi-PCG lead-in (RecursiveSolver::solve_batch)
   kChainRpch,   // pure recursive preconditioned Chebyshev (Theorem 1.1)
   kCg,          // unpreconditioned conjugate gradient (baseline)
   kJacobiPcg,   // diagonally preconditioned CG (baseline)
@@ -113,6 +115,9 @@ struct SetupQuality {
 
 struct SddSolveReport {
   IterStats stats;                // worst component's iteration stats
+  /// The Jacobi-PCG lead-in's share of stats.iterations (kChainPcg on the
+  /// one-level chain; the largest over components).
+  std::uint32_t lead_in_iterations = 0;
   std::uint32_t chain_levels = 0; // deepest chain
   std::size_t chain_edges = 0;    // total edges across all chain levels
   std::uint64_t bottom_visits = 0;
@@ -122,6 +127,9 @@ struct SddSolveReport {
 struct BatchSolveReport {
   /// Worst-component iteration stats, one entry per RHS column.
   std::vector<IterStats> column_stats;
+  /// Per column, the Jacobi-PCG lead-in's share of its iterations (see
+  /// SddSolveReport::lead_in_iterations).
+  std::vector<std::uint32_t> lead_in_iterations;
   std::uint32_t chain_levels = 0;
   std::size_t chain_edges = 0;
   /// Bottom-level dense solves during this batch (a batched visit counts

@@ -310,6 +310,249 @@ TEST(Cg, MatchesPreconditionEveryIterationReferenceBitwise) {
   }
 }
 
+// ---- rate-checked runs (CgOptions::rate_budget) ----
+
+// A clique K_12 on [0, 12) with a 60-vertex path hanging off vertex 0: a
+// dipole inside the clique is an eigenvector of the Jacobi-preconditioned
+// operator, so Jacobi-PCG solves it in one step, while dipoles and random
+// right-hand sides that reach into the path converge slowly or stall.
+struct CliquePath {
+  static constexpr std::uint32_t kClique = 12, kPath = 60;
+  std::uint32_t n = kClique + kPath;
+  CsrMatrix lap;
+  CliquePath() {
+    EdgeList e;
+    for (std::uint32_t i = 0; i < kClique; ++i) {
+      for (std::uint32_t j = i + 1; j < kClique; ++j) e.push_back({i, j, 1.0});
+    }
+    e.push_back({0, kClique, 1.0});
+    for (std::uint32_t i = kClique; i + 1 < n; ++i) {
+      e.push_back({i, i + 1, 1.0});
+    }
+    lap = laplacian_from_edges(n, e);
+  }
+  Vec dipole(std::uint32_t u, std::uint32_t v) const {
+    Vec b(n, 0.0);
+    b[u] = 1.0;
+    b[v] = -1.0;
+    return b;
+  }
+};
+
+struct RateExit {
+  std::uint32_t iterations = 0;
+  bool converged = false;
+  MultiVec x;
+};
+
+// The rate rule, spelled out on a single column: walk s = 0, 1, …, J, take
+// the iterate and relative residual of the plain run capped at s (the
+// reference loop above), and stop at the first s that converges, is a
+// checkpoint 4, 8, 16, … whose residual exceeds tolerance^{s/J}, or is J.
+RateExit reference_rate_exit(const BlockLinOp& a, const Vec& b,
+                             const BlockLinOp& precond, double tolerance,
+                             std::uint32_t budget) {
+  for (std::uint32_t s = 0;; ++s) {
+    CgOptions o;
+    o.tolerance = tolerance;
+    o.project_constant = true;
+    o.max_iterations = s;
+    RateExit e;
+    e.x.assign(b.size(), 1, 0.0);
+    IterStats st = reference_block_cg(a, MultiVec::from_columns({b}), e.x, o,
+                                      &precond)[0];
+    e.iterations = st.iterations;
+    e.converged = st.converged;
+    bool checkpoint = s >= 4 && (s & (s - 1)) == 0;
+    if (st.converged || s == budget ||
+        (checkpoint &&
+         st.relative_residual >
+             std::pow(tolerance, static_cast<double>(s) / budget))) {
+      return e;
+    }
+  }
+}
+
+// True when some iteration s before `exit` that is not a checkpoint has a
+// residual over tolerance^{s/J}: a rule tested at every iteration would
+// leave there instead.
+bool leaves_earlier_off_checkpoints(const BlockLinOp& a, const Vec& b,
+                                    const BlockLinOp& precond,
+                                    double tolerance, std::uint32_t budget,
+                                    std::uint32_t exit) {
+  for (std::uint32_t s = 1; s < exit; ++s) {
+    if (s >= 4 && (s & (s - 1)) == 0) continue;
+    CgOptions o;
+    o.tolerance = tolerance;
+    o.project_constant = true;
+    o.max_iterations = s;
+    MultiVec x(b.size(), 1, 0.0);
+    IterStats st =
+        reference_block_cg(a, MultiVec::from_columns({b}), x, o, &precond)[0];
+    if (st.relative_residual >
+        std::pow(tolerance, static_cast<double>(s) / budget)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void expect_bitwise_column(const MultiVec& block, std::size_t c,
+                           const MultiVec& single) {
+  ASSERT_EQ(block.rows(), single.rows());
+  for (std::size_t i = 0; i < block.rows(); ++i) {
+    double u = block.at(i, c), v = single.at(i, 0);
+    ASSERT_EQ(0, std::memcmp(&u, &v, sizeof(double))) << "row " << i;
+  }
+}
+
+// Each column of a rate-checked block leaves exactly where the reference
+// rule says: it converges, leaves at the first checkpoint whose residual
+// exceeds tolerance^{s/J}, or stops at J.  The block mixes all three (and a
+// zero column), and every column equals its k=1 run bitwise.
+TEST(CgRateBudget, ColumnsExitWhereTheReferenceRuleSays) {
+  CliquePath g;
+  BlockLinOp a = block_op_of(g.lap);
+  BlockLinOp jacobi = jacobi_preconditioner_block(g.lap);
+  const double tol = 1e-2;
+  const std::uint32_t budget = 40;
+  const std::uint32_t c0 = CliquePath::kClique;
+  // Converges at 1, leaves at 4, runs to J, leaves at 4, is zero.
+  std::vector<Vec> cols = {g.dipole(1, 2), random_unit_like(g.n, 3),
+                           g.dipole(c0 + 30, c0 + 31),
+                           g.dipole(c0 + 10, c0 + 50), Vec(g.n, 0.0)};
+  for (Vec& b : cols) kernels::project_out_constant(b);
+  CgOptions o;
+  o.tolerance = tol;
+  o.project_constant = true;
+  o.max_iterations = 5000;
+  o.rate_budget = budget;
+  MultiVec b = MultiVec::from_columns(cols);
+  MultiVec x(g.n, cols.size(), 0.0);
+  std::vector<IterStats> st = block_conjugate_gradient(a, b, x, o, &jacobi);
+
+  std::vector<std::uint32_t> exits;
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    EXPECT_LE(st[c].iterations, budget);
+    RateExit ref = reference_rate_exit(a, cols[c], jacobi, tol, budget);
+    EXPECT_EQ(st[c].iterations, ref.iterations);
+    EXPECT_EQ(st[c].converged, ref.converged);
+    expect_bitwise_column(x, c, ref.x);
+    MultiVec xs(g.n, 1, 0.0);
+    IterStats single = block_conjugate_gradient(
+        a, MultiVec::from_columns({cols[c]}), xs, o, &jacobi)[0];
+    EXPECT_EQ(single.iterations, st[c].iterations);
+    EXPECT_EQ(single.converged, st[c].converged);
+    EXPECT_EQ(0, std::memcmp(&single.relative_residual,
+                             &st[c].relative_residual, sizeof(double)));
+    expect_bitwise_column(x, c, xs);
+    exits.push_back(st[c].iterations);
+  }
+  // The block covers every way out of the run.
+  EXPECT_TRUE(st[0].converged);
+  EXPECT_EQ(exits[0], 1u);
+  EXPECT_FALSE(st[1].converged);
+  EXPECT_EQ(exits[1], 4u);
+  EXPECT_FALSE(st[2].converged);
+  EXPECT_EQ(exits[2], budget);
+  EXPECT_EQ(exits[3], 4u);
+  EXPECT_TRUE(st[4].converged);
+  EXPECT_EQ(exits[4], 0u);
+  // Column 1 is a case the checkpoints decide: tested at every iteration,
+  // the rule would have let it leave before s = 4.
+  EXPECT_TRUE(leaves_earlier_off_checkpoints(a, cols[1], jacobi, tol, budget,
+                                             exits[1]));
+}
+
+// A residual exactly at tolerance^{s/J} does not leave: the rule is strict.
+// The tolerance is chosen so that pow(tolerance, 4/8) is bit-equal to the
+// column's relative residual after 4 steps.
+TEST(CgRateBudget, ResidualAtTheThresholdStays) {
+  CliquePath g;
+  BlockLinOp a = block_op_of(g.lap);
+  BlockLinOp jacobi = jacobi_preconditioner_block(g.lap);
+  Vec b = random_unit_like(g.n, 3);
+  kernels::project_out_constant(b);
+  const std::uint32_t budget = 8;
+  CgOptions capped;
+  capped.project_constant = true;
+  capped.max_iterations = 4;
+  MultiVec x4(g.n, 1, 0.0);
+  double rho4 = block_conjugate_gradient(a, MultiVec::from_columns({b}), x4,
+                                         capped, &jacobi)[0]
+                    .relative_residual;
+  double tol = rho4 * rho4;
+  for (int step = 0; step < 64 && std::pow(tol, 0.5) != rho4; ++step) {
+    tol = std::nextafter(tol, std::pow(tol, 0.5) < rho4 ? 1.0 : 0.0);
+  }
+  ASSERT_EQ(std::pow(tol, 4.0 / budget), rho4);
+  ASSERT_GT(rho4, tol);
+
+  CgOptions o;
+  o.tolerance = tol;
+  o.project_constant = true;
+  o.rate_budget = budget;
+  MultiVec x(g.n, 1, 0.0);
+  IterStats st = block_conjugate_gradient(a, MultiVec::from_columns({b}), x,
+                                          o, &jacobi)[0];
+  RateExit ref = reference_rate_exit(a, b, jacobi, tol, budget);
+  EXPECT_EQ(ref.iterations, budget);
+  EXPECT_EQ(st.iterations, ref.iterations);
+  EXPECT_EQ(st.converged, ref.converged);
+  expect_bitwise_column(x, 0, ref.x);
+}
+
+// A resumed run counts on from the earlier one: converged columns stay
+// frozen with their stats, max_iterations caps each column's total, and a
+// resumed block still equals its k=1 runs bitwise.
+TEST(CgRateBudget, ResumeCountsOnAndCapsTheTotal) {
+  CliquePath g;
+  BlockLinOp a = block_op_of(g.lap);
+  BlockLinOp jacobi = jacobi_preconditioner_block(g.lap);
+  const std::uint32_t c0 = CliquePath::kClique;
+  std::vector<Vec> cols = {g.dipole(1, 2), random_unit_like(g.n, 3),
+                           g.dipole(c0 + 30, c0 + 31)};
+  for (Vec& b : cols) kernels::project_out_constant(b);
+  CgOptions lead;
+  lead.tolerance = 1e-2;
+  lead.project_constant = true;
+  lead.rate_budget = 40;
+  CgOptions rest;
+  rest.tolerance = 1e-2;
+  rest.project_constant = true;
+  rest.flexible = true;
+  rest.max_iterations = 41;
+  MultiVec b = MultiVec::from_columns(cols);
+  MultiVec x(g.n, cols.size(), 0.0);
+  std::vector<IterStats> first = block_conjugate_gradient(a, b, x, lead,
+                                                          &jacobi);
+  std::vector<IterStats> st =
+      block_conjugate_gradient(a, b, x, rest, &jacobi, nullptr, &first);
+  ASSERT_TRUE(first[0].converged);
+  EXPECT_EQ(st[0].iterations, first[0].iterations);
+  EXPECT_TRUE(st[0].converged);
+  EXPECT_EQ(0, std::memcmp(&st[0].relative_residual,
+                           &first[0].relative_residual, sizeof(double)));
+  EXPECT_GT(st[1].iterations, first[1].iterations);
+  // Column 2 ran 40 steps in the first run and is capped at 41 in total.
+  EXPECT_EQ(first[2].iterations, 40u);
+  EXPECT_EQ(st[2].iterations, 41u);
+  EXPECT_FALSE(st[2].converged);
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    MultiVec bs = MultiVec::from_columns({cols[c]});
+    MultiVec xs(g.n, 1, 0.0);
+    std::vector<IterStats> f1 = block_conjugate_gradient(a, bs, xs, lead,
+                                                         &jacobi);
+    IterStats s1 =
+        block_conjugate_gradient(a, bs, xs, rest, &jacobi, nullptr, &f1)[0];
+    EXPECT_EQ(s1.iterations, st[c].iterations);
+    EXPECT_EQ(s1.converged, st[c].converged);
+    expect_bitwise_column(x, c, xs);
+  }
+}
+
 TEST(Chebyshev, ConvergesWithTrueBoundsOnDiagonal) {
   // Diagonal system: spectrum known exactly.
   std::vector<Triplet> ts = {{0, 0, 1.0}, {1, 1, 2.0}, {2, 2, 3.0}};

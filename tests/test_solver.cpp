@@ -526,6 +526,50 @@ TEST(SddSolver, SubnormalConductanceEdgeSolvesToTolerance) {
             1e-6);
 }
 
+// The report of the default solve of random_unit_like(n, 7) to 1e-8;
+// fails the test if the solve does not converge.
+SddSolveReport default_solve_report(const GeneratedGraph& g) {
+  SddSolverOptions opts;
+  opts.tolerance = 1e-8;
+  SddSolver solver = SddSolver::for_laplacian(g.n, g.edges, opts);
+  SddSolveReport report;
+  EXPECT_TRUE(solver.solve(random_unit_like(g.n, 7), &report).ok());
+  EXPECT_TRUE(report.stats.converged);
+  return report;
+}
+
+// The default solve's Jacobi-PCG lead-in (RecursiveSolver::solve_batch)
+// on the unit-weight expander-like families: D⁻¹A is well conditioned
+// there while every spanning tree has high stretch, so the lead-in
+// converges within its budget and the chain never runs.
+TEST(SddSolver, ExpanderFamiliesFinishInsideTheLeadIn) {
+  struct Case {
+    const char* name;
+    GeneratedGraph g;
+    std::uint32_t iterations;
+  };
+  Case cases[] = {{"erdos_renyi", erdos_renyi(8192, 40000, 1), 17},
+                  {"random_regular", random_regular(8192, 4, 1), 34},
+                  {"preferential_attachment",
+                   preferential_attachment(8192, 3, 1), 22}};
+  for (const Case& c : cases) {
+    SddSolveReport report = default_solve_report(c.g);
+    EXPECT_EQ(report.lead_in_iterations, c.iterations) << c.name;
+    EXPECT_EQ(report.stats.iterations, report.lead_in_iterations) << c.name;
+  }
+}
+
+// On a weighted mesh the tree chain wins: the lead-in's residual after 4
+// steps is far above tolerance^{4/J}, so it leaves at the first checkpoint
+// and the chain finishes from its iterate.
+TEST(SddSolver, WeightedMeshLeavesTheLeadInAtFirstCheckpoint) {
+  GeneratedGraph g = grid2d(64, 64);
+  randomize_weights_log_uniform(g.edges, 1e2, 1);
+  SddSolveReport report = default_solve_report(g);
+  EXPECT_EQ(report.lead_in_iterations, 4u);
+  EXPECT_GT(report.stats.iterations, 4u);
+}
+
 TEST(SddSolver, ReportFieldsPopulated) {
   GeneratedGraph g = grid2d(16, 16);
   SddSolverOptions opts;
